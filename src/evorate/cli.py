@@ -23,7 +23,12 @@ from .errors import (
 from .kernel import build_kernel, dump_kernel
 from .sampler import TrajectoryConfig, dump_trajectory, load_trajectory, sample_trajectory
 from .simplex import central_states, enumerate_states, num_states
-from .stationary import DEFAULT_MAX_ITERS, DEFAULT_TOL, export_stationary_csv
+from .stationary import (
+    ARNOLDI_MIN_STATES,
+    DEFAULT_MAX_ITERS,
+    DEFAULT_TOL,
+    export_stationary_csv,
+)
 from .sweep import (
     ProcessConfig,
     evaluate_process,
@@ -68,7 +73,11 @@ def _add_process_args(sub: argparse.ArgumentParser) -> None:
 def _add_solver_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--tol", type=float, default=DEFAULT_TOL, help="solver residual tolerance")
     sub.add_argument(
-        "--max-iters", type=int, default=DEFAULT_MAX_ITERS, help="solver iteration budget"
+        "--max-iters",
+        type=int,
+        default=DEFAULT_MAX_ITERS,
+        help="solver iteration budget: power-iteration steps, or ARPACK restarts "
+        f"for chains above {ARNOLDI_MIN_STATES:,} states",
     )
 
 

@@ -8,7 +8,12 @@ the entropy-rate report.  Solver choice:
                      incentive, or mu = (n-1)/n where reproduction is
                      uniform regardless of the incentive
   reversible exact   two-type chains (birth-death, detailed balance)
-  power iteration    everything else
+  power iteration    everything else, up to ARNOLDI_MIN_STATES states
+  Arnoldi (ARPACK)   everything else above that size, where power
+                     iteration needs thousands of steps or more
+
+The closed-form and reversible routes come first, so two-type chains
+never reach Arnoldi however large they are.
 
 Mutation rate zero makes parts of the lattice unreachable and can leave
 the incentive undefined at the corners, so those processes are built on
@@ -52,6 +57,7 @@ from .stationary import (
     DEFAULT_MAX_ITERS,
     DEFAULT_TOL,
     StationaryDistribution,
+    _check_solver_settings,
     neutral_stationary,
     reversible_stationary,
     solve_stationary,
@@ -139,7 +145,12 @@ def evaluate_process(
     tol: float = DEFAULT_TOL,
     max_iters: int = DEFAULT_MAX_ITERS,
 ) -> ProcessResult:
-    """Kernel, stationary distribution, and entropy rate for one process."""
+    """Kernel, stationary distribution, and entropy rate for one process.
+
+    tol and max_iters are checked here, whichever solver the process
+    ends up needing.
+    """
+    _check_solver_settings(tol, max_iters)
     n, N = config.n, config.N
     game = config.landscape.build(n)
     mu = config.mutation.mu

@@ -293,6 +293,22 @@ def test_exhausted_iteration_budget_exits_two(capsys):
     assert "numerical failure" in err
 
 
+@pytest.mark.parametrize("solver_flag", [("--tol", "-1"), ("--max-iters", "0")])
+@pytest.mark.parametrize(
+    "process",
+    [
+        ("--n", "2", "--N", "10", "--mu", "0.1"),  # closed form
+        ("--n", "2", "--N", "10", "--mu", "0.1",
+         "--incentive", "fermi", "--landscape", "moran", "--r", "2"),  # reversible
+    ],
+    ids=["closed_form", "reversible"],
+)
+def test_bad_solver_settings_exit_one_on_every_route(capsys, process, solver_flag):
+    code, _, err = run_cli(capsys, "entropy-rate", *process, *solver_flag)
+    assert code == 1
+    assert "must be positive" in err
+
+
 def test_output_file_flag(tmp_path, capsys):
     out_path = tmp_path / "report.json"
     code, out, _ = run_cli(

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse import identity
+from scipy.sparse.linalg import spsolve
 
 from evorate import (
     ConvergenceError,
@@ -24,6 +26,8 @@ from evorate import (
     stationary_residual,
 )
 from evorate.catalog import moran_landscape, rsp_landscape
+from evorate.cli import main
+from evorate.stationary import ARNOLDI_MIN_STATES
 
 
 def neutral_kernel(n, N, mu):
@@ -122,6 +126,72 @@ def test_power_iteration_budget():
         solve_stationary(kern, tol=-1.0)
     with pytest.raises(ValidationError):
         solve_stationary(kern, max_iters=0)
+
+
+def rsp_kernel(N, mu):
+    return build_kernel(
+        3, N, Incentive.fermi(beta=1.0), rsp_landscape(1, 1), MutationModel.uniform(mu)
+    )
+
+
+def direct_stationary(kern, pin):
+    """SuperLU solve of (I - T^T) s = 0 with the equation at `pin` dropped and s_pin = 1."""
+    M = kern.num_states
+    A = (identity(M, format="csr") - kern.matrix.T).tocsr()
+    rest = np.flatnonzero(np.arange(M) != pin)
+    s = np.ones(M)
+    s[rest] = spsolve(A[rest][:, rest].tocsc(), -A[rest][:, [pin]].toarray().ravel())
+    return s / s.sum()
+
+
+def test_arnoldi_matches_closed_form():
+    kern = neutral_kernel(3, 60, 0.05)
+    assert kern.num_states == 1891 > ARNOLDI_MIN_STATES
+    dist = solve_stationary(kern)
+    assert dist.method == "arnoldi"
+    closed = neutral_stationary(3, 60, 0.05)
+    assert np.abs(dist.probabilities - closed.probabilities).max() <= 1e-10
+
+
+def test_arnoldi_matches_reversible_product():
+    kern = build_kernel(
+        2, 1500, Incentive.fermi(beta=2.0), moran_landscape(2), MutationModel.uniform(1 / 1500)
+    )
+    dist = solve_stationary(kern)
+    assert dist.method == "arnoldi"
+    exact = reversible_stationary(kern)
+    # criterion 4's bound; Arnoldi's gap here is a few 1e-10
+    assert np.abs(dist.probabilities - exact.probabilities).max() <= 1e-8
+
+
+def test_arnoldi_matches_direct_solve_and_is_deterministic():
+    kern = rsp_kernel(60, 1 / 60)
+    dist = solve_stationary(kern)
+    assert dist.method == "arnoldi"
+    assert dist.iterations is None
+    assert dist.residual <= 1e-12
+    assert dist.residual == stationary_residual(kern, dist.probabilities)
+    direct = direct_stationary(kern, int(np.argmax(dist.probabilities)))
+    assert np.abs(dist.probabilities - direct).max() <= 1e-10
+    again = solve_stationary(kern)
+    assert np.array_equal(dist.probabilities, again.probabilities)
+
+
+def test_arnoldi_budget(capsys):
+    with pytest.raises(ConvergenceError):
+        solve_stationary(rsp_kernel(60, 1 / 60), max_iters=1)
+    code = main([
+        "entropy-rate", "--n", "3", "--N", "60", "--mu", repr(1 / 60),
+        "--incentive", "fermi", "--landscape", "rsp", "--a", "1", "--b", "1",
+        "--max-iters", "1",
+    ])
+    assert code == 2
+    assert "numerical failure" in capsys.readouterr().err
+
+
+def test_arnoldi_route_requires_irreducibility():
+    with pytest.raises(ReducibleChainError):
+        solve_stationary(neutral_kernel(3, 60, 0.0))
 
 
 def test_reversible_matches_closed_form_exactly_enough():
