@@ -27,6 +27,7 @@ from .stationary import (
     ARNOLDI_MIN_STATES,
     DEFAULT_MAX_ITERS,
     DEFAULT_TOL,
+    DIRECT_MAX_STATES,
     export_stationary_csv,
 )
 from .sweep import (
@@ -77,7 +78,8 @@ def _add_solver_args(sub: argparse.ArgumentParser) -> None:
         type=int,
         default=DEFAULT_MAX_ITERS,
         help="solver iteration budget: power-iteration steps, or ARPACK restarts "
-        f"for chains above {ARNOLDI_MIN_STATES:,} states",
+        f"for chains above {ARNOLDI_MIN_STATES:,} states; unused by the sparse LU "
+        f"of three-type chains up to {DIRECT_MAX_STATES:,} states",
     )
 
 
@@ -252,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("sweep", help="run a parameter sweep from a JSON config")
     sub.add_argument("--config", required=True, help="sweep configuration file")
-    sub.add_argument("--threads", type=int, help="worker threads (default: EVORATE_THREADS or CPUs)")
+    sub.add_argument("--threads", type=int, help="worker threads (default: EVORATE_THREADS or 1)")
     _add_solver_args(sub)
     sub.add_argument("--out", help="override the configured output path")
     sub.set_defaults(func=_cmd_sweep)

@@ -83,6 +83,27 @@ def _reproduction_batch(
     return (phi / phi.sum(axis=1, keepdims=True)) @ Q
 
 
+def _moves(S: np.ndarray, N: int, P: np.ndarray):
+    """Positive-probability replacement steps out of the states S.
+
+    Yields, for each ordered type pair (j, k) with j != k, the rows of S
+    that can move, their probabilities p_j * a_k / N, and the targets
+    a + e_j - e_k.
+    """
+    n = S.shape[1]
+    for j in range(n):
+        for k in range(n):
+            if j == k:
+                continue
+            prob = P[:, j] * (S[:, k] / N)
+            src = np.flatnonzero(prob > 0.0)
+            if src.size:
+                targets = S[src]
+                targets[:, j] += 1
+                targets[:, k] -= 1
+                yield src, prob[src], targets
+
+
 def _assemble(
     S: np.ndarray,
     N: int,
@@ -96,29 +117,17 @@ def _assemble(
     """
     M, n = S.shape
     rows, cols, vals = [], [], []
-    for j in range(n):
-        for k in range(n):
-            if j == k:
-                continue
-            src = np.flatnonzero(S[:, k] >= 1)
-            prob = P[src, j] * (S[src, k] / N)
-            keep = prob > 0.0
-            src, prob = src[keep], prob[keep]
-            if not src.size:
-                continue
-            targets = S[src]
-            targets[:, j] += 1
-            targets[:, k] -= 1
-            dst = rank_states(targets, n, N)
-            if rank_of is not None:
-                dst = rank_of[dst]
-                if (dst < 0).any():
-                    raise NumericalConsistencyError(
-                        "transition leaves the reachable state set; closure is broken"
-                    )
-            rows.append(src)
-            cols.append(dst)
-            vals.append(prob)
+    for src, prob, targets in _moves(S, N, P):
+        dst = rank_states(targets, n, N)
+        if rank_of is not None:
+            dst = rank_of[dst]
+            if (dst < 0).any():
+                raise NumericalConsistencyError(
+                    "transition leaves the reachable state set; closure is broken"
+                )
+        rows.append(src)
+        cols.append(dst)
+        vals.append(prob)
     rows = np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
     cols = np.concatenate(cols) if cols else np.empty(0, dtype=np.int64)
     vals = np.concatenate(vals) if vals else np.empty(0, dtype=np.float64)
@@ -190,28 +199,30 @@ def build_kernel(
 def _reachable_states(
     seeds: np.ndarray, n: int, N: int, incentive, game, Q: np.ndarray
 ) -> np.ndarray:
-    """Closure of the seed states under positive-probability transitions."""
-    seen = {tuple(int(x) for x in seed) for seed in seeds}
-    frontier = np.unique(seeds, axis=0)
+    """Closure of the seed states under positive-probability transitions.
+
+    A breadth-first search over lattice ranks: each layer ranks all its
+    targets at once and keeps the ones not seen before.
+    """
+    seen = np.zeros(num_states(n, N), dtype=bool)
+    ranks, first = np.unique(rank_states(seeds, n, N), return_index=True)
+    seen[ranks] = True
+    frontier = seeds[first]
+    found = [frontier]
     while len(frontier):
         P = _reproduction_batch(frontier, N, incentive, game, Q)
-        fresh = []
-        for a, p in zip(frontier, P):
-            for j in range(n):
-                for k in range(n):
-                    if j == k or a[k] < 1 or p[j] * (a[k] / N) <= 0.0:
-                        continue
-                    b = a.copy()
-                    b[j] += 1
-                    b[k] -= 1
-                    key = tuple(int(x) for x in b)
-                    if key not in seen:
-                        seen.add(key)
-                        fresh.append(b)
-        frontier = np.array(fresh, dtype=np.int64) if fresh else np.empty((0, n), np.int64)
-    S = np.array(sorted(seen), dtype=np.int64)
-    # Canonical order is descending lexicographic.
-    return S[::-1].copy()
+        targets = [t for _, _, t in _moves(frontier, N, P)]
+        if not targets:
+            break
+        targets = np.concatenate(targets)
+        ranks, first = np.unique(rank_states(targets, n, N), return_index=True)
+        fresh = ~seen[ranks]
+        seen[ranks[fresh]] = True
+        frontier = targets[first[fresh]]
+        found.append(frontier)
+    S = np.concatenate(found)
+    # Canonical order is ascending rank.
+    return S[np.argsort(rank_states(S, n, N))]
 
 
 def transition_row(

@@ -1,6 +1,6 @@
 """Stationary distributions of lattice birth-death processes.
 
-Four routes to the stationary vector s with s T = s:
+Five routes to the stationary vector s with s T = s:
 
   closed form   neutral selection with uniform mutation has a
                 Dirichlet-multinomial stationary distribution
@@ -8,8 +8,11 @@ Four routes to the stationary vector s with s T = s:
                 satisfy detailed balance, giving an exact product form
   iterative     power iteration on the row-stochastic kernel, for
                 chains of at most ARNOLDI_MIN_STATES states
-  arnoldi       implicitly restarted Arnoldi (ARPACK) on T^T, for
-                larger chains
+  direct        sparse LU (SuperLU) of the pinned system s (I - T) = 0,
+                for three-type lattice chains of more than
+                ARNOLDI_MIN_STATES and at most DIRECT_MAX_STATES states
+  arnoldi       implicitly restarted Arnoldi (ARPACK) on T^T, for the
+                other chains above ARNOLDI_MIN_STATES states
 
 Power iteration needs a number of mat-vecs that grows with the chain's
 mixing time: 8.6k-45k on the benchmark's chains of 5k-20k states.
@@ -20,6 +23,15 @@ chain of acceptance criterion 5).  Small chains stay on power iteration
 for now because the benchmark's `ensemble` workload keeps every pass's
 stationary vectors, so a faster pass there reads as a peak-memory
 regression; ROADMAP.md tracks the switch.
+
+The LU of a three-type chain fills in little: on 5,151 states (N=100)
+the factor holds about 257k nonzeros (5 MB) and a solve takes 20-40 ms,
+where Arnoldi takes 0.1-0.3 s.  The factor grows faster than the chain, to
+about 10 MB at 10,000 states (hence DIRECT_MAX_STATES) and 26 MB at
+20,301; with four or more types it fills in much faster (1.6M nonzeros
+for 5,456 states at n=4).  The direct solve is also the more accurate:
+on some three-type chains Arnoldi stops at a residual of 1e-14 with a
+vector that is off by 1e-4 to 1 in L1.
 
 For the closed form, write alpha = N mu / (n - 1 - n mu).  Then
 
@@ -36,7 +48,8 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.sparse.linalg import ArpackError, eigs
+from scipy import sparse
+from scipy.sparse.linalg import ArpackError, eigs, splu
 from scipy.special import gammaln
 
 from .dynamics import Incentive, MutationModel
@@ -51,7 +64,9 @@ from .simplex import _states_cached, num_states, rank_states
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITERS = 1_000_000
-ARNOLDI_MIN_STATES = 1_000  # chains with more states than this use Arnoldi
+ARNOLDI_MIN_STATES = 1_000  # chains with more states than this use Arnoldi or LU
+DIRECT_MAX_STATES = 10_000  # three-type chains up to this size use the LU
+_DIRECT_MAX_FACTORIZATIONS = 4
 _BALANCE_TOL = 1e-10
 
 
@@ -103,8 +118,8 @@ def neutral_stationary(n: int, N: int, mu: float) -> StationaryDistribution:
 
     Requires 0 < mu <= 1.  Above mu = (n-1)/n the closed form breaks
     down and the function falls back to solve_stationary (with a
-    RuntimeWarning), so the returned method may be "iterative" or
-    "arnoldi".
+    RuntimeWarning), so the returned method may be "iterative",
+    "direct" or "arnoldi".
     """
     M = num_states(n, N)
     if not (np.isfinite(mu) and 0.0 < mu <= 1.0):
@@ -171,9 +186,11 @@ def solve_stationary(
     Chains of at most ARNOLDI_MIN_STATES states use power iteration from
     the uniform vector, with max_iters bounding its steps; aperiodicity
     comes for free on the lattice because some state always keeps a
-    self-loop.  Larger chains use ARPACK's Arnoldi solver on T^T, with
-    max_iters bounding its restarts.  Either way the returned residual
-    is measured, and a solve that misses tol raises ConvergenceError.
+    self-loop.  Larger three-type lattice chains, up to DIRECT_MAX_STATES
+    states, use a sparse LU solve, where max_iters plays no part.  The
+    rest use ARPACK's Arnoldi solver on T^T, with max_iters bounding its
+    restarts.  Every route measures the returned residual, and a solve
+    that misses tol raises ConvergenceError.
     """
     _check_solver_settings(tol, max_iters)
     if not is_irreducible(kernel):
@@ -184,6 +201,8 @@ def solve_stationary(
     T = kernel.matrix
     M = T.shape[0]
     if M > ARNOLDI_MIN_STATES:
+        if kernel.is_lattice and kernel.n == 3 and M <= DIRECT_MAX_STATES:
+            return _direct_stationary(kernel, tol)
         return _arnoldi_stationary(T, tol, max_iters)
     s = np.full(M, 1.0 / M)
     for iteration in range(1, max_iters + 1):
@@ -223,6 +242,59 @@ def _arnoldi_stationary(T, tol: float, max_iters: int) -> StationaryDistribution
             f"Arnoldi stopped at residual {residual:.3e}, above the tolerance {tol}"
         )
     return StationaryDistribution(s, method="arnoldi", residual=residual)
+
+
+def _direct_stationary(kernel: TransitionKernel, tol: float) -> StationaryDistribution:
+    """Stationary vector by SuperLU on s (I - T) = 0 with one entry pinned to 1.
+
+    Pinning state p replaces equation p of (I - T)^T s = 0 with s_p = 1.
+    The pinned matrix is a column-diagonally-dominant M-matrix, so
+    elimination needs no pivoting, and a symmetric minimum-degree
+    ordering of A + A^T keeps the factor small.  A pin carrying
+    negligible mass makes the solve meaningless, which shows as an
+    entry with |x| > 1, so the pin moves to the largest entry and the
+    system is factored again.
+    """
+    T = kernel.matrix
+    C = (sparse.identity(T.shape[0], format="csr") - T).tocsr()
+    # The state nearest the barycentre usually carries enough mass.
+    pin = int(np.argmin(np.abs(kernel.states - kernel.N / kernel.n).sum(axis=1)))
+    for _ in range(_DIRECT_MAX_FACTORIZATIONS):
+        x = _pinned_solve(C, pin)
+        # |x|, not x: a garbage solve can keep its positive maximum on the pin.
+        top = int(np.argmax(np.abs(x)))
+        if abs(x[top]) <= 1.0 + 1e-9:
+            break
+        pin = top
+    s = np.maximum(x, 0.0)
+    s /= s.sum()
+    residual = float(np.abs(s @ T - s).max())
+    if not residual <= tol:  # also catches a NaN from a failed solve
+        raise ConvergenceError(
+            f"sparse LU stopped at residual {residual:.3e}, above the tolerance {tol}"
+        )
+    return StationaryDistribution(s, method="direct", residual=residual)
+
+
+def _pinned_solve(C, pin: int) -> np.ndarray:
+    """Solve C^T x = e_pin after replacing column `pin` of C by e_pin.
+
+    The factor lives only inside this call, so re-pinning never holds two.
+    """
+    M = C.shape[0]
+    A = C.copy()
+    A.data[A.indices == pin] = 0.0
+    e_pin = sparse.csr_array(([1.0], ([pin], [pin])), shape=(M, M))
+    try:
+        lu = splu(
+            (A + e_pin).T, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
+    except RuntimeError as exc:  # SuperLU reports an exactly singular factor
+        raise ConvergenceError(f"sparse LU failed: {exc}") from exc
+    rhs = np.zeros(M)
+    rhs[pin] = 1.0
+    return lu.solve(rhs)
 
 
 def _csr_entry(T, u: int, v: int) -> float:

@@ -9,8 +9,12 @@ the entropy-rate report.  Solver choice:
                      uniform regardless of the incentive
   reversible exact   two-type chains (birth-death, detailed balance)
   power iteration    everything else, up to ARNOLDI_MIN_STATES states
-  Arnoldi (ARPACK)   everything else above that size, where power
-                     iteration needs thousands of steps or more
+  sparse LU          three-type chains above that size, up to
+                     DIRECT_MAX_STATES states, where the LU factor
+                     fills in little
+  Arnoldi (ARPACK)   everything else above ARNOLDI_MIN_STATES states,
+                     where power iteration needs thousands of steps
+                     and the LU of four or more types fills in
 
 The closed-form and reversible routes come first, so two-type chains
 never reach Arnoldi however large they are.
@@ -22,9 +26,9 @@ recurrent class; if more than one class remains there is no unique
 stationary distribution and the point is reported as an error.
 
 A sweep varies up to two named parameters over grids, evaluates each
-point (optionally across a thread pool), and emits rows with a fixed
-column set; any per-point failure lands in the row's error column
-rather than aborting, except entropy-rate bound violations, which
+point (one at a time unless more threads are asked for), and emits rows
+with a fixed column set; any per-point failure lands in the row's error
+column rather than aborting, except entropy-rate bound violations, which
 indicate an implementation problem and abort the run.
 """
 
@@ -408,7 +412,11 @@ def sweep_points(spec: SweepSpec) -> list[dict]:
 
 
 def worker_count(requested: int | None = None) -> int:
-    """Thread count: explicit argument, else the environment, else one per CPU."""
+    """Thread count: explicit argument, else the environment, else 1.
+
+    One thread is the default because two measured no faster on a
+    2-CPU machine and hold two LU factors in memory at once.
+    """
     if requested is None:
         env = os.environ.get(THREADS_ENV_VAR)
         if env is not None:
@@ -417,7 +425,7 @@ def worker_count(requested: int | None = None) -> int:
             except ValueError as exc:
                 raise ValidationError(f"{THREADS_ENV_VAR}={env!r} is not an integer") from exc
     if requested is None:
-        return min(os.cpu_count() or 1, 8)
+        return 1
     if requested < 1:
         raise ValidationError(f"worker count must be positive, got {requested}")
     return requested

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from evorate import (
+    GameMatrix,
     IllDefinedIncentiveError,
     Incentive,
     MutationModel,
@@ -181,6 +182,61 @@ def test_reachable_build_with_positive_mutation_covers_the_lattice():
     )
     assert reach.states.tolist() == full.states.tolist()
     assert np.allclose(reach.matrix.toarray(), full.matrix.toarray(), atol=0)
+
+
+def reachable_oracle(seeds, incentive, game, mutation):
+    """Set-based closure of the seeds under transition_row, in canonical order."""
+    seen = {tuple(int(x) for x in seed) for seed in seeds}
+    stack = list(seen)
+    while stack:
+        state = stack.pop()
+        for target, _ in transition_row(np.array(state), incentive, game, mutation):
+            key = tuple(int(x) for x in target)
+            if key not in seen:
+                seen.add(key)
+                stack.append(key)
+    return sorted(seen, key=rank_state)
+
+
+# Type 0 mutates into type 1 and no other mutation happens, so the
+# reachable sets are proper, nontrivial subsets of the lattice.
+ONE_WAY = MutationModel.from_matrix(np.array([
+    [0.9, 0.1, 0.0, 0.0],
+    [0.0, 1.0, 0.0, 0.0],
+    [0.0, 0.0, 1.0, 0.0],
+    [0.0, 0.0, 0.0, 1.0],
+]))
+GAME4 = np.array([
+    [0.0, 2.0, -1.0, 1.0],
+    [1.0, 0.0, 3.0, -2.0],
+    [-1.0, 1.0, 0.0, 2.0],
+    [2.0, -1.0, 1.0, 0.0],
+])
+
+
+@pytest.mark.parametrize(
+    "n,N,incentive,game,mutation,seeds",
+    [
+        (3, 12, Incentive.fermi(beta=0.0), rsp_landscape(1, 1), MutationModel.uniform(0.0),
+         central_states(3, 12)),
+        (3, 12, Incentive.fermi(beta=1.0), rsp_landscape(1, 1), MutationModel.uniform(0.0),
+         central_states(3, 12)),
+        (4, 8, Incentive.fermi(beta=2.0), GameMatrix(GAME4), ONE_WAY, [[0, 3, 3, 2]]),
+        (4, 8, Incentive.fermi(beta=2.0), GameMatrix(GAME4), ONE_WAY, [[0, 0, 1, 7]]),
+        (4, 8, Incentive.neutral(), None, ONE_WAY, [[8, 0, 0, 0]]),
+        (4, 8, Incentive.neutral(), None, ONE_WAY,
+         [[0, 0, 3, 5], [0, 0, 3, 5], [0, 2, 0, 6]]),
+        # best reply is defined for two types only
+        (2, 12, Incentive.best_reply(), hawk_dove_landscape(), MutationModel.uniform(0.0),
+         central_states(2, 12)),
+    ],
+    ids=["rsp-beta0", "rsp-beta1", "n4-game", "n4-game-corner", "n4-neutral-corner",
+         "n4-duplicate-seeds", "best-reply"],
+)
+def test_reachable_build_matches_set_closure(n, N, incentive, game, mutation, seeds):
+    kern = build_kernel(n, N, incentive, game, mutation, reachable_from=seeds)
+    expected = reachable_oracle(np.atleast_2d(seeds), incentive, game, mutation)
+    assert kern.states.tolist() == [list(state) for state in expected]
 
 
 def test_irreducibility_and_recurrent_classes():

@@ -1,4 +1,5 @@
 import io
+import json
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from scipy.sparse.linalg import spsolve
 
 from evorate import (
     ConvergenceError,
+    GameMatrix,
     Incentive,
     MutationModel,
     NotReversibleError,
@@ -25,9 +27,10 @@ from evorate import (
     solve_stationary,
     stationary_residual,
 )
+from evorate import stationary as stationary_module
 from evorate.catalog import moran_landscape, rsp_landscape
 from evorate.cli import main
-from evorate.stationary import ARNOLDI_MIN_STATES
+from evorate.stationary import ARNOLDI_MIN_STATES, DIRECT_MAX_STATES
 
 
 def neutral_kernel(n, N, mu):
@@ -144,12 +147,22 @@ def direct_stationary(kern, pin):
     return s / s.sum()
 
 
+GAME4 = np.random.default_rng(20240817).uniform(-1, 2, (4, 4))  # criterion 5's seed
+
+
+def game4_kernel(mu):
+    """n=4, N=20 fermi chain (1,771 states) on GAME4."""
+    return build_kernel(
+        4, 20, Incentive.fermi(beta=1.0), GameMatrix(GAME4), MutationModel.uniform(mu)
+    )
+
+
 def test_arnoldi_matches_closed_form():
-    kern = neutral_kernel(3, 60, 0.05)
-    assert kern.num_states == 1891 > ARNOLDI_MIN_STATES
+    kern = neutral_kernel(4, 20, 0.05)
+    assert kern.num_states == 1771 > ARNOLDI_MIN_STATES
     dist = solve_stationary(kern)
     assert dist.method == "arnoldi"
-    closed = neutral_stationary(3, 60, 0.05)
+    closed = neutral_stationary(4, 20, 0.05)
     assert np.abs(dist.probabilities - closed.probabilities).max() <= 1e-10
 
 
@@ -165,7 +178,7 @@ def test_arnoldi_matches_reversible_product():
 
 
 def test_arnoldi_matches_direct_solve_and_is_deterministic():
-    kern = rsp_kernel(60, 1 / 60)
+    kern = game4_kernel(1 / 20)
     dist = solve_stationary(kern)
     assert dist.method == "arnoldi"
     assert dist.iterations is None
@@ -177,12 +190,14 @@ def test_arnoldi_matches_direct_solve_and_is_deterministic():
     assert np.array_equal(dist.probabilities, again.probabilities)
 
 
-def test_arnoldi_budget(capsys):
+def test_arnoldi_budget(capsys, tmp_path):
     with pytest.raises(ConvergenceError):
-        solve_stationary(rsp_kernel(60, 1 / 60), max_iters=1)
+        solve_stationary(game4_kernel(1 / 20), max_iters=1)
+    matrix_path = tmp_path / "game.json"
+    matrix_path.write_text(json.dumps({"n": 4, "matrix": GAME4.tolist()}))
     code = main([
-        "entropy-rate", "--n", "3", "--N", "60", "--mu", repr(1 / 60),
-        "--incentive", "fermi", "--landscape", "rsp", "--a", "1", "--b", "1",
+        "entropy-rate", "--n", "4", "--N", "20", "--mu", repr(1 / 20),
+        "--incentive", "fermi", "--landscape", "custom", "--matrix-file", str(matrix_path),
         "--max-iters", "1",
     ])
     assert code == 2
@@ -191,7 +206,89 @@ def test_arnoldi_budget(capsys):
 
 def test_arnoldi_route_requires_irreducibility():
     with pytest.raises(ReducibleChainError):
+        solve_stationary(neutral_kernel(4, 20, 0.0))
+
+
+def gth_stationary(T):
+    """Dense GTH elimination (Grassmann, Taksar & Heyman 1985), restricted to the band.
+
+    Elimination without pivoting keeps the fill inside the kernel's
+    bandwidth, so skipping the entries outside it changes no result.
+    """
+    coo = T.tocoo()
+    band = int(np.abs(coo.row - coo.col).max())
+    P = T.toarray()
+    M = len(P)
+    for k in range(M - 1, 0, -1):
+        lo = max(0, k - band)
+        P[lo:k, k] /= P[k, lo:k].sum()
+        P[lo:k, lo:k] += np.outer(P[lo:k, k], P[k, lo:k])
+    s = np.zeros(M)
+    s[0] = 1.0
+    for k in range(1, M):
+        lo = max(0, k - band)
+        s[k] = s[lo:k] @ P[lo:k, k]
+    return s / s.sum()
+
+
+def game3_kernel(entries, N, beta, q, mu):
+    return build_kernel(
+        3, N, Incentive.fermi(beta=beta, q=q), GameMatrix(np.array(entries, dtype=float)),
+        MutationModel.uniform(mu),
+    )
+
+
+def test_direct_matches_closed_form():
+    kern = neutral_kernel(3, 60, 0.05)
+    assert ARNOLDI_MIN_STATES < kern.num_states == 1891 <= DIRECT_MAX_STATES
+    dist = solve_stationary(kern)
+    assert dist.method == "direct"
+    closed = neutral_stationary(3, 60, 0.05)
+    assert np.abs(dist.probabilities - closed.probabilities).max() <= 1e-10
+
+
+def test_direct_matches_spsolve_and_is_deterministic():
+    kern = rsp_kernel(60, 1 / 60)
+    dist = solve_stationary(kern)
+    assert dist.method == "direct"
+    assert dist.iterations is None
+    assert dist.residual <= 1e-12
+    assert dist.residual == stationary_residual(kern, dist.probabilities)
+    direct = direct_stationary(kern, int(np.argmax(dist.probabilities)))
+    assert np.abs(dist.probabilities - direct).max() <= 1e-10
+    again = solve_stationary(kern)
+    assert np.array_equal(dist.probabilities, again.probabilities)
+
+
+def test_direct_repins_away_from_a_massless_centre():
+    kern = game3_kernel([[3, 3, 3], [0, 0, 0], [0, 0, 0]], 50, beta=10.0, q=1.0, mu=5e-4)
+    assert kern.num_states == 1326
+    dist = solve_stationary(kern)
+    assert dist.method == "direct"
+    s = dist.probabilities
+    centre = int(np.argmin(np.abs(kern.states - 50 / 3).sum(axis=1)))
+    assert s[centre] < 1e-90 * s.max()
+    assert np.abs(s - gth_stationary(kern.matrix)).sum() <= 1e-10
+
+
+def test_direct_route_requires_irreducibility():
+    with pytest.raises(ReducibleChainError):
         solve_stationary(neutral_kernel(3, 60, 0.0))
+
+
+def test_direct_route_size_cap(monkeypatch):
+    monkeypatch.setattr(stationary_module, "DIRECT_MAX_STATES", 1890)
+    assert solve_stationary(rsp_kernel(60, 1 / 60)).method == "arnoldi"
+
+
+def test_three_type_chain_where_arnoldi_is_silently_wrong():
+    # ARPACK stops here at residual 1.5e-14 with a vector 1.8e-4 off in L1.
+    kern = game3_kernel(
+        [[0.85, 1.64, 1.96], [0.07, 0.49, 0.21], [0.39, 1.56, 0.24]], 52, beta=0.5, q=2.0, mu=0.01
+    )
+    assert kern.num_states == 1431
+    dist = solve_stationary(kern)
+    assert np.abs(dist.probabilities - gth_stationary(kern.matrix)).sum() <= 1e-10
 
 
 def test_reversible_matches_closed_form_exactly_enough():

@@ -348,7 +348,7 @@ class TestWorkerCount:
 
     def test_default_is_capped(self, monkeypatch):
         monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
-        assert 1 <= worker_count() <= 8
+        assert worker_count() == 1
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValidationError):
