@@ -254,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("sweep", help="run a parameter sweep from a JSON config")
     sub.add_argument("--config", required=True, help="sweep configuration file")
-    sub.add_argument("--threads", type=int, help="worker threads (default: EVORATE_THREADS or 1)")
+    sub.add_argument("--threads", type=int, help="worker threads (default: EVORATE_THREADS or CPUs)")
     _add_solver_args(sub)
     sub.add_argument("--out", help="override the configured output path")
     sub.set_defaults(func=_cmd_sweep)

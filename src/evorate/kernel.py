@@ -188,9 +188,9 @@ def build_kernel(
     seeds = np.atleast_2d(np.asarray(reachable_from, dtype=np.int64))
     for seed in seeds:
         validate_state(seed, n=n, N=N)
-    S = _reachable_states(seeds, n, N, incentive, game, Q)
+    S, ranks = _reachable_states(seeds, n, N, incentive, game, Q)
     rank_of = np.full(num_states(n, N), -1, dtype=np.int64)
-    rank_of[rank_states(S, n, N)] = np.arange(len(S))
+    rank_of[ranks] = np.arange(len(S))
     P = _reproduction_batch(S, N, incentive, game, Q)
     T = _assemble(S, N, P, rank_of)
     return TransitionKernel(matrix=T, n=n, N=N, states=S)
@@ -198,17 +198,18 @@ def build_kernel(
 
 def _reachable_states(
     seeds: np.ndarray, n: int, N: int, incentive, game, Q: np.ndarray
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """Closure of the seed states under positive-probability transitions.
 
     A breadth-first search over lattice ranks: each layer ranks all its
-    targets at once and keeps the ones not seen before.
+    targets at once and keeps the ones not seen before.  Returns the
+    states in canonical (ascending rank) order along with their ranks.
     """
     seen = np.zeros(num_states(n, N), dtype=bool)
     ranks, first = np.unique(rank_states(seeds, n, N), return_index=True)
     seen[ranks] = True
     frontier = seeds[first]
-    found = [frontier]
+    found, found_ranks = [frontier], [ranks]
     while len(frontier):
         P = _reproduction_batch(frontier, N, incentive, game, Q)
         targets = [t for _, _, t in _moves(frontier, N, P)]
@@ -220,9 +221,10 @@ def _reachable_states(
         seen[ranks[fresh]] = True
         frontier = targets[first[fresh]]
         found.append(frontier)
-    S = np.concatenate(found)
-    # Canonical order is ascending rank.
-    return S[np.argsort(rank_states(S, n, N))]
+        found_ranks.append(ranks[fresh])
+    ranks = np.concatenate(found_ranks)
+    order = np.argsort(ranks)
+    return np.concatenate(found)[order], ranks[order]
 
 
 def transition_row(

@@ -26,9 +26,10 @@ recurrent class; if more than one class remains there is no unique
 stationary distribution and the point is reported as an error.
 
 A sweep varies up to two named parameters over grids, evaluates each
-point (one at a time unless more threads are asked for), and emits rows
-with a fixed column set; any per-point failure lands in the row's error
-column rather than aborting, except entropy-rate bound violations, which
+point (optionally across a thread pool, whose workers take turns at the
+sparse LU so that only one factor is in memory), and emits rows with a
+fixed column set; any per-point failure lands in the row's error column
+rather than aborting, except entropy-rate bound violations, which
 indicate an implementation problem and abort the run.
 """
 
@@ -412,11 +413,7 @@ def sweep_points(spec: SweepSpec) -> list[dict]:
 
 
 def worker_count(requested: int | None = None) -> int:
-    """Thread count: explicit argument, else the environment, else 1.
-
-    One thread is the default because two measured no faster on a
-    2-CPU machine and hold two LU factors in memory at once.
-    """
+    """Thread count: explicit argument, else the environment, else one per CPU."""
     if requested is None:
         env = os.environ.get(THREADS_ENV_VAR)
         if env is not None:
@@ -425,7 +422,7 @@ def worker_count(requested: int | None = None) -> int:
             except ValueError as exc:
                 raise ValidationError(f"{THREADS_ENV_VAR}={env!r} is not an integer") from exc
     if requested is None:
-        return 1
+        return min(os.cpu_count() or 1, 8)
     if requested < 1:
         raise ValidationError(f"worker count must be positive, got {requested}")
     return requested

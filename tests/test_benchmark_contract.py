@@ -1,14 +1,11 @@
 """The names the benchmark in perfbench/ reaches into must keep existing.
 
 perfbench/spans.py wraps a fixed list of module attributes for its
-traced runs and refuses to run when one is missing, and perfbench/run.py
-records `evorate.sweep.worker_count()` with every result.
+traced runs and refuses to run when one is missing.
 """
 
 import importlib
 from pathlib import Path
-
-import evorate.sweep
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -25,8 +22,3 @@ def test_tracer_installs_and_restores_every_wrapped_name(monkeypatch):
     tracer.uninstall()
     for (mod, attr), original in originals.items():
         assert getattr(importlib.import_module(mod), attr) is original
-
-
-def test_worker_count_is_an_int(monkeypatch):
-    monkeypatch.delenv(evorate.sweep.THREADS_ENV_VAR, raising=False)
-    assert isinstance(evorate.sweep.worker_count(), int)

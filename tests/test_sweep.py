@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from evorate import (
     write_rows_csv,
     write_rows_json,
 )
+from evorate import stationary as stationary_module
 from evorate import sweep as sweep_module
 from evorate.sweep import CSV_COLUMNS, THREADS_ENV_VAR
 
@@ -317,6 +319,35 @@ class TestGridAndRows:
         pooled = run_sweep(spec, threads=4)
         assert pooled == sequential
 
+    def test_pooled_lu_solves_take_turns(self, monkeypatch):
+        # n=3, N=45 has 1,081 states, so every point takes the sparse LU.
+        spec = SweepSpec(
+            n=3,
+            N=45,
+            incentive=Incentive.fermi(beta=1.0),
+            landscape=Landscape.rsp(a=1.0, b=1.0),
+            mutation=None,
+            axes=(SweepAxis("beta", (0.5, 1.0)), SweepAxis("mu", (0.05, 0.2))),
+        )
+        sequential = run_sweep(spec, threads=1)
+        assert {row.method for row in sequential} == {"direct"}
+        live, most = [0], [0]
+        factor = stationary_module.splu
+
+        def counting_splu(*args, **kwargs):
+            live[0] += 1
+            most[0] = max(most[0], live[0])
+            try:
+                time.sleep(0.01)
+                return factor(*args, **kwargs)
+            finally:
+                live[0] -= 1
+
+        monkeypatch.setattr(stationary_module, "splu", counting_splu)
+        pooled = run_sweep(spec, threads=4)
+        assert pooled == sequential
+        assert most[0] == 1
+
     def test_bound_violation_aborts_the_sweep(self, monkeypatch):
         spec = SweepSpec(
             n=2,
@@ -348,7 +379,7 @@ class TestWorkerCount:
 
     def test_default_is_capped(self, monkeypatch):
         monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
-        assert worker_count() == 1
+        assert 1 <= worker_count() <= 8
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValidationError):
