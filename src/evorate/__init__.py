@@ -15,40 +15,21 @@ the stationary and entropy modules characterize its long-run behavior.
     ... )
     >>> round(evaluate_process(config).report.entropy_rate, 3)
     1.155
+
+The package exports the types, the errors, and the functions a caller
+composes; helpers such as kernel.recurrent_classes,
+stationary.check_detailed_balance or the catalog's named landscapes are
+imported from their modules.
 """
 
-from .catalog import (
-    Landscape,
-    game_matrix_from_json,
-    game_matrix_to_json,
-    hawk_dove_landscape,
-    landscape_from_json,
-    landscape_matrix,
-    load_game_matrix,
-    moran_landscape,
-    neutral_landscape,
-    rsp_landscape,
-    zero_diagonal_landscape,
-)
-from .dynamics import (
-    GameMatrix,
-    Incentive,
-    MutationModel,
-    fitness,
-    incentive_values,
-    mutation_matrix,
-    reproduction_probabilities,
-)
+from .catalog import Landscape
+from .dynamics import GameMatrix, Incentive, MutationModel
 from .entropy import (
     EntropyReport,
-    bound_fraction,
     entropy_rate,
     entropy_rate_bound,
-    max_transition_entropy_states,
     plug_in_entropy_rate,
-    shannon_entropy,
     transition_entropies,
-    transition_entropy,
 )
 from .errors import (
     ConvergenceError,
@@ -59,42 +40,14 @@ from .errors import (
     ReducibleChainError,
     ValidationError,
 )
-from .kernel import (
-    TransitionKernel,
-    build_kernel,
-    dump_kernel,
-    is_irreducible,
-    raw_kernel,
-    recurrent_classes,
-    restrict_to_states,
-    transition_row,
-)
-from .sampler import (
-    TrajectoryConfig,
-    dump_trajectory,
-    load_trajectory,
-    sample_trajectory,
-)
-from .simplex import (
-    Step,
-    adjacent_states,
-    central_states,
-    enumerate_states,
-    num_states,
-    rank_state,
-    rank_states,
-    unrank_state,
-)
+from .kernel import TransitionKernel, build_kernel
+from .sampler import TrajectoryConfig, sample_trajectory
+from .simplex import central_states, enumerate_states, num_states, rank_states
 from .stationary import (
     StationaryDistribution,
-    check_detailed_balance,
-    export_stationary_csv,
-    log_rising_factorial,
     neutral_stationary,
     reversible_stationary,
-    rising_factorial,
     solve_stationary,
-    stationary_residual,
 )
 from .sweep import (
     DerivedMu,
@@ -105,12 +58,7 @@ from .sweep import (
     SweepSpec,
     evaluate_process,
     load_sweep_spec,
-    load_sweep_spec_file,
     run_sweep,
-    sweep_points,
-    worker_count,
-    write_rows_csv,
-    write_rows_json,
 )
 
 __version__ = "0.1.0"

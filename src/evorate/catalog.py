@@ -129,11 +129,6 @@ class Landscape:
         return self.matrix
 
 
-def landscape_matrix(landscape: Landscape, n: int) -> GameMatrix:
-    """Build the payoff matrix for a landscape description."""
-    return landscape.build(n)
-
-
 def landscape_from_json(doc) -> Landscape:
     """Parse a landscape description from a JSON document.
 

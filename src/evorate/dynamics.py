@@ -142,6 +142,8 @@ class MutationModel:
 
     def matrix(self, n: int) -> np.ndarray:
         """The n x n mutation matrix Q."""
+        if n < 2:
+            raise ValidationError(f"need at least two types, got n={n}")
         if self.custom is not None:
             if self.custom.shape[0] != n:
                 raise ValidationError(
@@ -152,13 +154,6 @@ class MutationModel:
         Q = np.full((n, n), self.mu / (n - 1))
         np.fill_diagonal(Q, 1.0 - self.mu)
         return Q
-
-
-def mutation_matrix(model: MutationModel, n: int) -> np.ndarray:
-    """Materialize a mutation model as its n x n matrix."""
-    if n < 2:
-        raise ValidationError(f"need at least two types, got n={n}")
-    return model.matrix(n)
 
 
 def _check_fractions(abar: np.ndarray, n: int | None = None) -> np.ndarray:
@@ -250,29 +245,3 @@ def incentive_values_batch(
             f"incentive assigns zero total weight at fractions {X[bad[0]].tolist()}", bad[0]
         )
     return phi
-
-
-def incentive_values(incentive: Incentive, game: GameMatrix | None, abar) -> np.ndarray:
-    """Incentive weights phi(abar) for a single fraction vector."""
-    x = _check_fractions(abar, game.n if game is not None else None)
-    return incentive_values_batch(incentive, game, x[None, :])[0]
-
-
-def reproduction_probabilities(phi, Q: np.ndarray) -> np.ndarray:
-    """Probability that the next birth is of each type.
-
-    p = (phi / sum(phi)) @ Q, combining selection (normalized incentive)
-    with mutation.  Scale-invariant in phi.
-    """
-    w = np.asarray(phi, dtype=np.float64)
-    if w.ndim != 1:
-        raise ValidationError(f"expected a weight vector, got shape {w.shape}")
-    if (w < 0).any():
-        raise IllDefinedIncentiveError(f"incentive weights must be nonnegative, got {w.tolist()}")
-    total = w.sum()
-    if total <= 0.0:
-        raise IllDefinedIncentiveError("incentive weights sum to zero")
-    Q = np.asarray(Q, dtype=np.float64)
-    if Q.shape != (w.size, w.size):
-        raise ValidationError(f"mutation matrix shape {Q.shape} does not match {w.size} types")
-    return (w / total) @ Q

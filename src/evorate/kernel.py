@@ -9,7 +9,9 @@ transitions therefore have probability
 
 and the self-loop takes the remaining mass (birth and death of the same
 type).  Each row has at most n(n-1) + 1 nonzero entries, so kernels are
-stored sparse (CSR) with rows indexed by canonical state rank.
+stored sparse (CSR) with rows indexed by canonical state rank.  The
+step rule lives in _moves alone: assembly and the reachability search
+both take their transitions from it.
 
 Rows depend only on their own state, so a kernel can also be built on
 any reachability-closed subset of the lattice; this is how processes
@@ -31,7 +33,7 @@ from .errors import (
     NumericalConsistencyError,
     ValidationError,
 )
-from .simplex import _states_cached, num_states, rank_states, validate_state
+from .simplex import _check_dims, _states_cached, num_states, rank_states, validate_state
 
 _ROWSUM_TOL = 1e-12
 _CLOSURE_TOL = 1e-9
@@ -174,6 +176,7 @@ def build_kernel(
     exactly the states reachable from those seeds, rows still ordered by
     canonical rank.  Requires N > n so interior states exist.
     """
+    _check_dims(n, N)
     if N <= n:
         raise ValidationError(f"population must exceed the number of types, got n={n}, N={N}")
     if game is not None and game.n != n:
@@ -227,49 +230,13 @@ def _reachable_states(
     return np.concatenate(found)[order], ranks[order]
 
 
-def transition_row(
-    counts, incentive: Incentive, game: GameMatrix | None, mutation: MutationModel
-) -> list[tuple[np.ndarray, float]]:
-    """Nonzero transitions out of one state as (target state, probability).
-
-    Off-diagonal entries come first in (gain, lose) step order, then the
-    self-loop if it carries mass.  Computed independently of the batch
-    kernel construction, which tests use as a cross-check.
-    """
-    a = validate_state(counts)
-    n = a.size
-    N = int(a.sum())
-    if game is not None and game.n != n:
-        raise ValidationError(f"game matrix is {game.n}x{game.n}, state has n={n} types")
-    Q = mutation.matrix(n)
-    P = _reproduction_batch(a[None, :], N, incentive, game, Q)[0]
-    out: list[tuple[np.ndarray, float]] = []
-    total = 0.0
-    for j in range(n):
-        for k in range(n):
-            if j == k or a[k] < 1:
-                continue
-            prob = P[j] * (a[k] / N)
-            if prob > 0.0:
-                b = a.copy()
-                b[j] += 1
-                b[k] -= 1
-                out.append((b, float(prob)))
-                total += prob
-    if total > 1.0 + _ROWSUM_TOL:
-        raise NumericalConsistencyError(f"off-diagonal mass {total!r} > 1 at state {a.tolist()}")
-    self_loop = max(1.0 - total, 0.0)
-    if self_loop > 0.0:
-        out.append((a.copy(), self_loop))
-    return out
-
-
 def raw_kernel(matrix) -> TransitionKernel:
     """Wrap an explicit row-stochastic matrix as a kernel.
 
     Accepts dense or sparse input; rows must sum to 1 within 1e-12.
     """
-    T = sparse.csr_array(matrix, dtype=np.float64)
+    T = sparse.csr_array(matrix, dtype=np.float64, copy=True)  # edits below stay local
+    T.sum_duplicates()  # one entry per position, in sorted order, as solvers read them
     if T.shape[0] != T.shape[1]:
         raise ValidationError(f"kernel must be square, got shape {T.shape}")
     if T.nnz and ((T.data < 0).any() or (T.data > 1 + _ROWSUM_TOL).any()):
@@ -279,7 +246,6 @@ def raw_kernel(matrix) -> TransitionKernel:
     if bad.size:
         raise ValidationError(f"kernel row {bad[0]} sums to {rowsums[bad[0]]!r}, expected 1")
     T.eliminate_zeros()
-    T.sort_indices()
     return TransitionKernel(matrix=T)
 
 

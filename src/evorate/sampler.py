@@ -32,30 +32,29 @@ class TrajectoryConfig:
 
 
 def _resolve_start(kernel: TransitionKernel, start) -> int:
-    if start is None:
-        if kernel.states is None:
-            return 0
-        center = central_states(kernel.n, kernel.N)[0]
-        rows = rank_states(kernel.states, kernel.n, kernel.N)
-        want = rank_states(center[None, :], kernel.n, kernel.N)[0]
-        pos = int(np.searchsorted(rows, want))
-        if pos >= rows.size or rows[pos] != want:
-            raise ValidationError(
-                f"central state {center.tolist()} is not part of this kernel; pass a start"
-            )
-        return pos
     if isinstance(start, (int, np.integer)):
         if not 0 <= start < kernel.num_states:
             raise ValidationError(f"start row {start} out of range [0, {kernel.num_states})")
         return int(start)
-    counts = np.asarray(start, dtype=np.int64)
     if kernel.states is None:
+        if start is None:
+            return 0
         raise ValidationError("raw kernels take a row index as start, not a state")
+    if start is None:
+        center = central_states(kernel.n, kernel.N)[0]
+        missing = f"central state {center.tolist()} is not part of this kernel; pass a start"
+        return _row_of(kernel, center, missing)
+    counts = np.asarray(start, dtype=np.int64)
+    return _row_of(kernel, counts, f"start state {counts.tolist()} is not part of this kernel")
+
+
+def _row_of(kernel: TransitionKernel, counts: np.ndarray, missing: str) -> int:
+    """Row of a lattice kernel holding `counts`; ValidationError(missing) if none."""
     rows = rank_states(kernel.states, kernel.n, kernel.N)
     want = rank_states(counts[None, :], kernel.n, kernel.N)[0]
     pos = int(np.searchsorted(rows, want))
     if pos >= rows.size or rows[pos] != want:
-        raise ValidationError(f"start state {counts.tolist()} is not part of this kernel")
+        raise ValidationError(missing)
     return pos
 
 

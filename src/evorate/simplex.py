@@ -4,8 +4,9 @@ A population of N individuals and n types is a composition
 a = (a_1, ..., a_n) with a_i >= 0 and sum(a) = N.  The C(N+n-1, n-1)
 such states form the lattice points of the discrete simplex.  This
 module enumerates them in a fixed canonical order, converts between
-states and their integer ranks in that order, and walks the adjacency
-structure induced by single birth-death replacements.
+states and their integer ranks in that order, and picks the states
+nearest the barycentre.  Which states a replacement step connects is
+the kernel module's business (kernel._moves).
 
 The canonical order is descending lexicographic, so (N, 0, ..., 0) has
 rank 0 and (0, ..., 0, N) has rank C(N+n-1, n-1) - 1.
@@ -14,7 +15,6 @@ rank 0 and (0, ..., 0, N) has rank C(N+n-1, n-1) - 1.
 import math
 from functools import lru_cache
 from itertools import permutations
-from typing import NamedTuple
 
 import numpy as np
 
@@ -23,13 +23,6 @@ from .errors import ValidationError
 # Enumerating much beyond this is hopeless anyway; the guard keeps the
 # ranking arithmetic safely inside int64.
 MAX_STATES = 500_000_000
-
-
-class Step(NamedTuple):
-    """A single replacement event: type `gain` births, type `lose` dies."""
-
-    gain: int
-    lose: int
 
 
 def num_states(n: int, N: int) -> int:
@@ -176,26 +169,6 @@ def rank_states(states: np.ndarray, n: int, N: int) -> np.ndarray:
         ranks += np.where(top >= k, table[np.maximum(top, 0), k], 0)
         prefix = prefix + S[:, i]
     return ranks
-
-
-def adjacent_states(counts) -> list[tuple[Step, np.ndarray]]:
-    """Neighbors reachable by one replacement, in (gain, lose) order.
-
-    A step (j, k) moves one individual from type k to type j and needs
-    a_k >= 1.  Steps are 0-indexed and listed lexicographically.
-    """
-    a = validate_state(counts)
-    n = a.size
-    out = []
-    for j in range(n):
-        for k in range(n):
-            if j == k or a[k] < 1:
-                continue
-            b = a.copy()
-            b[j] += 1
-            b[k] -= 1
-            out.append((Step(j, k), b))
-    return out
 
 
 def central_states(n: int, N: int) -> np.ndarray:

@@ -46,10 +46,11 @@ back to iteration.
 
 import threading
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse.csgraph import breadth_first_order
 from scipy.sparse.linalg import ArpackError, eigs, splu
 from scipy.special import gammaln
 
@@ -95,30 +96,11 @@ class StationaryDistribution:
         p = np.asarray(self.probabilities, dtype=np.float64)
         if p.ndim != 1 or p.size == 0:
             raise ValidationError(f"probabilities must be a vector, got shape {p.shape}")
-        if (p < 0).any() or abs(p.sum() - 1.0) > 1e-9:
+        if not np.isfinite(p).all() or (p < 0).any() or abs(p.sum() - 1.0) > 1e-9:
             raise ValidationError("stationary probabilities must be nonnegative and sum to 1")
         p = p.copy()
         p.flags.writeable = False
         object.__setattr__(self, "probabilities", p)
-
-
-def rising_factorial(x: float, k: int) -> float:
-    """(x)_k = x (x+1) ... (x+k-1), with (x)_0 = 1."""
-    if k < 0:
-        raise ValidationError(f"rising factorial needs k >= 0, got {k}")
-    out = 1.0
-    for i in range(k):
-        out *= x + i
-    return out
-
-
-def log_rising_factorial(x: float, k: int) -> float:
-    """log (x)_k for x > 0, via log-gamma."""
-    if x <= 0:
-        raise ValidationError(f"log rising factorial needs x > 0, got {x}")
-    if k < 0:
-        raise ValidationError(f"rising factorial needs k >= 0, got {k}")
-    return float(gammaln(x + k) - gammaln(x))
 
 
 def neutral_stationary(n: int, N: int, mu: float) -> StationaryDistribution:
@@ -169,13 +151,6 @@ def stationary_residual(kernel: TransitionKernel, probabilities: np.ndarray) -> 
     return float(np.abs(s @ kernel.matrix - s).max())
 
 
-def with_measured_residual(
-    dist: StationaryDistribution, kernel: TransitionKernel
-) -> StationaryDistribution:
-    """Copy of `dist` with the residual measured against `kernel`."""
-    return replace(dist, residual=stationary_residual(kernel, dist.probabilities))
-
-
 def _check_solver_settings(tol: float, max_iters: int) -> None:
     """Raise ValidationError unless tol is positive and max_iters at least 1."""
     if not (np.isfinite(tol) and tol > 0):
@@ -211,7 +186,7 @@ def solve_stationary(
     if M > ARNOLDI_MIN_STATES:
         if kernel.is_lattice and kernel.n == 3 and M <= DIRECT_MAX_STATES:
             return _direct_stationary(kernel, tol)
-        return _arnoldi_stationary(T, tol, max_iters)
+        return _arnoldi_stationary(kernel, tol, max_iters)
     s = np.full(M, 1.0 / M)
     for iteration in range(1, max_iters + 1):
         y = s @ T
@@ -219,7 +194,7 @@ def solve_stationary(
         close = bool(np.abs(y - s).max() <= tol)
         s = y
         if close:
-            residual = float(np.abs(s @ T - s).max())
+            residual = stationary_residual(kernel, s)
             if residual <= tol:
                 return StationaryDistribution(
                     s, method="iterative", residual=residual, iterations=iteration
@@ -229,8 +204,11 @@ def solve_stationary(
     )
 
 
-def _arnoldi_stationary(T, tol: float, max_iters: int) -> StationaryDistribution:
+def _arnoldi_stationary(
+    kernel: TransitionKernel, tol: float, max_iters: int
+) -> StationaryDistribution:
     """Left Perron vector of T by Arnoldi on the transpose view of T."""
+    T = kernel.matrix
     M = T.shape[0]
     try:
         # A fixed start vector keeps the result deterministic; ARPACK's
@@ -244,8 +222,8 @@ def _arnoldi_stationary(T, tol: float, max_iters: int) -> StationaryDistribution
         ) from exc
     s = np.abs(vectors[:, 0].real)
     s /= s.sum()
-    residual = float(np.abs(s @ T - s).max())
-    if residual > tol:
+    residual = stationary_residual(kernel, s)
+    if not residual <= tol:  # also catches a NaN
         raise ConvergenceError(
             f"Arnoldi stopped at residual {residual:.3e}, above the tolerance {tol}"
         )
@@ -276,7 +254,7 @@ def _direct_stationary(kernel: TransitionKernel, tol: float) -> StationaryDistri
         pin = top
     s = np.maximum(x, 0.0)
     s /= s.sum()
-    residual = float(np.abs(s @ T - s).max())
+    residual = stationary_residual(kernel, s)
     if not residual <= tol:  # also catches a NaN from a failed solve
         raise ConvergenceError(
             f"sparse LU stopped at residual {residual:.3e}, above the tolerance {tol}"
@@ -309,52 +287,43 @@ def _pinned_solve(C, pin: int) -> np.ndarray:
     return x
 
 
-def _csr_entry(T, u: int, v: int) -> float:
-    lo, hi = T.indptr[u], T.indptr[u + 1]
-    pos = int(np.searchsorted(T.indices[lo:hi], v))
-    if pos < hi - lo and T.indices[lo + pos] == v:
-        return float(T.data[lo + pos])
-    return 0.0
-
-
 def reversible_stationary(kernel: TransitionKernel) -> StationaryDistribution:
     """Exact stationary vector of a reversible chain via detailed balance.
 
     Fixes s at a root state and propagates s_v = s_u T_uv / T_vu along a
-    spanning tree of the transition support, in log space; afterwards
-    verifies detailed balance on every edge.  Raises NotReversibleError
-    if the support is asymmetric or the balance check fails, and
-    ReducibleChainError if the chain is not irreducible.
+    breadth-first spanning tree of the transition support, in log space;
+    afterwards verifies detailed balance on every edge.  Raises
+    NotReversibleError if the support is asymmetric or the balance check
+    fails, and ReducibleChainError if the chain is not irreducible.
     """
     T = kernel.matrix
     M = T.shape[0]
-    A = (T + T.T).tocsr()
-    parent = np.full(M, -1, dtype=np.int64)
-    order = [0]
-    seen = np.zeros(M, dtype=bool)
-    seen[0] = True
-    head = 0
-    while head < len(order):
-        u = order[head]
-        head += 1
-        for v in A.indices[A.indptr[u] : A.indptr[u + 1]]:
-            if not seen[v]:
-                seen[v] = True
-                parent[v] = u
-                order.append(int(v))
-    if len(order) < M:
+    # T + T^T is symmetric already, so a directed search spans the
+    # undirected support without csgraph symmetrizing it once more.
+    order, parent = breadth_first_order(T + T.T, 0, return_predecessors=True)
+    if order.size < M:
         raise ReducibleChainError("kernel support is not connected")
-
-    logs = np.zeros(M)
-    for v in order[1:]:
-        u = int(parent[v])
-        up = _csr_entry(T, u, v)
-        down = _csr_entry(T, v, u)
-        if up <= 0.0 or down <= 0.0:
-            raise NotReversibleError(
-                f"one-way transition between states {u} and {v}; chain is not reversible"
-            )
-        logs[v] = logs[u] + np.log(up) - np.log(down)
+    child = order[1:].astype(np.int64)
+    up_from = parent[child].astype(np.int64)
+    # Both weights of every tree edge in one search over the sorted
+    # row-major keys row * M + col of the stored entries.
+    keys = np.repeat(np.arange(M, dtype=np.int64), np.diff(T.indptr)) * M + T.indices
+    want = np.concatenate([up_from * M + child, child * M + up_from])
+    pos = np.minimum(np.searchsorted(keys, want), keys.size - 1)
+    weights = np.where(keys[pos] == want, T.data[pos], 0.0)
+    up, down = weights[: M - 1], weights[M - 1 :]
+    bad = np.flatnonzero((up <= 0.0) | (down <= 0.0))
+    if bad.size:
+        u, v = up_from[bad[0]], child[bad[0]]
+        raise NotReversibleError(
+            f"one-way transition between states {u} and {v}; chain is not reversible"
+        )
+    # Parents precede children in breadth-first order.
+    logs = [0.0] * M
+    rises = (np.log(up) - np.log(down)).tolist()
+    for v, u, rise in zip(child.tolist(), up_from.tolist(), rises):
+        logs[v] = logs[u] + rise
+    logs = np.array(logs)
     logs -= logs.max()
     s = np.exp(logs)
     s /= s.sum()

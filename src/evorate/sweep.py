@@ -37,7 +37,7 @@ import csv
 import itertools
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -66,7 +66,7 @@ from .stationary import (
     neutral_stationary,
     reversible_stationary,
     solve_stationary,
-    with_measured_residual,
+    stationary_residual,
 )
 
 THREADS_ENV_VAR = "EVORATE_THREADS"
@@ -183,7 +183,8 @@ def evaluate_process(
             or abs(mu - uniform_mu) <= 1e-12
         )
         if closed_form:
-            dist = with_measured_residual(neutral_stationary(n, N, mu), kern)
+            dist = neutral_stationary(n, N, mu)
+            dist = replace(dist, residual=stationary_residual(kern, dist.probabilities))
         else:
             dist = _solve_for_kernel(kern, tol, max_iters)
 

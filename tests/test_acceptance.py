@@ -22,24 +22,26 @@ from evorate import (
     SweepAxis,
     SweepSpec,
     TrajectoryConfig,
-    bound_fraction,
     build_kernel,
     central_states,
-    check_detailed_balance,
     entropy_rate_bound,
     evaluate_process,
-    max_transition_entropy_states,
     neutral_stationary,
     plug_in_entropy_rate,
     rank_states,
-    raw_kernel,
     run_sweep,
     sample_trajectory,
-    shannon_entropy,
     solve_stationary,
-    transition_entropy,
 )
 from evorate.cli import main
+from evorate.entropy import (
+    bound_fraction,
+    max_transition_entropy_states,
+    shannon_entropy,
+    transition_entropy,
+)
+from evorate.kernel import raw_kernel
+from evorate.stationary import check_detailed_balance
 
 REFERENCE_GAMES_VAR = "EVORATE_REFERENCE_GAMES"
 

@@ -1,7 +1,8 @@
 """The names the benchmark in perfbench/ reaches into must keep existing.
 
 perfbench/spans.py wraps a fixed list of module attributes for its
-traced runs and refuses to run when one is missing.
+traced runs and refuses to run when one is missing, and every workload
+imports its entry points from the package.
 """
 
 import importlib
@@ -22,3 +23,19 @@ def test_tracer_installs_and_restores_every_wrapped_name(monkeypatch):
     tracer.uninstall()
     for (mod, attr), original in originals.items():
         assert getattr(importlib.import_module(mod), attr) is original
+
+
+def test_every_workload_passes_its_reference_check_at_tiny_size(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.delenv("EVORATE_THREADS", raising=False)
+    workloads = importlib.import_module("workloads")
+    reference = importlib.import_module("reference")
+    refs = reference.ReferenceCache()
+    for name, cls in workloads.WORKLOADS.items():
+        workdir = tmp_path / name
+        workdir.mkdir()
+        _, outcomes = cls(1, str(workdir), True).run_pass(0)
+        assert outcomes, name
+        for outcome in outcomes:
+            assert outcome.error is None or outcome.expect == "reducible", (name, outcome.error)
+            assert reference.check(outcome, refs)[0] is None, name

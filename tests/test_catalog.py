@@ -2,14 +2,12 @@ import json
 
 import pytest
 
-from evorate import (
-    Landscape,
-    ValidationError,
+from evorate import Landscape, ValidationError
+from evorate.catalog import (
     game_matrix_from_json,
     game_matrix_to_json,
     hawk_dove_landscape,
     landscape_from_json,
-    landscape_matrix,
     load_game_matrix,
     moran_landscape,
     neutral_landscape,
@@ -37,7 +35,7 @@ def test_landscape_build_and_n_requirements():
     assert Landscape.neutral().build(5).n == 5
     assert Landscape.moran(3).required_n() == 2
     assert Landscape.rsp(1, 2).required_n() == 3
-    assert landscape_matrix(Landscape.rsp(2, 1), 3).entries[0, 2] == 2
+    assert Landscape.rsp(2, 1).build(3).entries[0, 2] == 2
     with pytest.raises(ValidationError):
         Landscape.rsp(1, 1).build(2)
     with pytest.raises(ValidationError):

@@ -7,13 +7,16 @@ from evorate import (
     Incentive,
     MutationModel,
     ValidationError,
-    fitness,
-    incentive_values,
-    mutation_matrix,
-    reproduction_probabilities,
+    build_kernel,
 )
 from evorate.catalog import hawk_dove_landscape, moran_landscape, neutral_landscape, rsp_landscape
-from evorate.dynamics import incentive_values_batch
+from evorate.dynamics import fitness, incentive_values_batch
+from evorate.simplex import rank_state
+
+
+def incentive_values(incentive, game, x):
+    """Incentive weights of a single fraction vector."""
+    return incentive_values_batch(incentive, game, np.asarray(x, dtype=float)[None, :])[0]
 
 
 def test_game_matrix_validation():
@@ -63,11 +66,13 @@ def test_incentive_validation():
 
 
 def test_mutation_model_uniform():
-    Q = mutation_matrix(MutationModel.uniform(0.3), 3)
+    Q = MutationModel.uniform(0.3).matrix(3)
     assert np.allclose(np.diag(Q), 0.7)
     assert np.allclose(Q[0, 1], 0.15)
     assert np.allclose(Q.sum(axis=1), 1.0)
-    assert mutation_matrix(MutationModel.uniform(0.0), 2).tolist() == [[1, 0], [0, 1]]
+    assert MutationModel.uniform(0.0).matrix(2).tolist() == [[1, 0], [0, 1]]
+    with pytest.raises(ValidationError, match="two types"):
+        MutationModel.uniform(0.1).matrix(1)
     with pytest.raises(ValidationError):
         MutationModel.uniform(1.5)
     with pytest.raises(ValidationError):
@@ -151,42 +156,51 @@ def test_best_reply_undefined_when_winner_absent():
         incentive_values(Incentive.best_reply(), hawk_dove_landscape(), [1.0, 0.0])
 
 
+def kernel_entry(kern, source, target):
+    """T[source -> target] of a full-lattice kernel, states given as counts."""
+    return kern.matrix[rank_state(source), rank_state(target)]
+
+
 def test_reproduction_probabilities_example():
-    # all weight on type 1: offspring is type 1 unless it mutates
-    mu = 0.3
-    Q = mutation_matrix(MutationModel.uniform(mu), 2)
-    p = reproduction_probabilities([1.0, 0.0], Q)
-    assert p.tolist() == [1 - mu, mu]
+    # At (N, 0) under the neutral incentive every birth is of type 1, so
+    # the only way out is a type-2 mutant replacing a type 1: T = mu * N/N.
+    N, mu = 6, 0.3
+    kern = build_kernel(2, N, Incentive.neutral(), None, MutationModel.uniform(mu))
+    assert kernel_entry(kern, [N, 0], [N - 1, 1]) == mu
+    assert kernel_entry(kern, [N, 0], [N, 0]) == 1 - mu
 
 
 def test_reproduction_probabilities_scale_invariant():
-    Q = mutation_matrix(MutationModel.uniform(0.2), 3)
-    phi = np.array([0.2, 1.7, 0.4])
-    base = reproduction_probabilities(phi, Q)
+    # The replicator weights scale with the payoffs; the kernel must not.
+    game = rsp_landscape(1.0, 0.5).entries + 1.0
+    mutation = MutationModel.uniform(0.2)
+    base = build_kernel(3, 7, Incentive.replicator(), GameMatrix(game), mutation).matrix
     for scale in (2.0, 0.5, 3.7):
-        assert np.allclose(reproduction_probabilities(scale * phi, Q), base, atol=1e-14)
+        scaled = build_kernel(3, 7, Incentive.replicator(), GameMatrix(scale * game), mutation)
+        assert abs(scaled.matrix - base).max() < 1e-14
 
 
 def test_reproduction_probabilities_rejects_bad_weights():
-    Q = np.eye(2)
-    with pytest.raises(IllDefinedIncentiveError):
-        reproduction_probabilities([0.0, 0.0], Q)
-    with pytest.raises(IllDefinedIncentiveError):
-        reproduction_probabilities([1.0, -0.5], Q)
-    with pytest.raises(ValidationError):
-        reproduction_probabilities([1.0, 0.0], np.eye(3))
+    uniform = MutationModel.uniform(0.1)
+    with pytest.raises(IllDefinedIncentiveError):  # zero total weight everywhere
+        build_kernel(2, 4, Incentive.replicator(), GameMatrix(np.zeros((2, 2))), uniform)
+    with pytest.raises(IllDefinedIncentiveError):  # negative weights
+        build_kernel(2, 4, Incentive.replicator(), GameMatrix(-np.ones((2, 2))), uniform)
+    with pytest.raises(ValidationError):  # mutation matrix for the wrong type count
+        build_kernel(2, 4, Incentive.neutral(), None, MutationModel.from_matrix(np.eye(3)))
 
 
 def test_reproduction_probabilities_fuzz_is_stochastic():
     rng = np.random.default_rng(42)
-    for _ in range(100):
-        n = rng.integers(2, 5)
-        phi = rng.random(n) + 1e-3
+    for _ in range(30):
+        n = int(rng.integers(2, 5))
         Q = rng.random((n, n))
         Q /= Q.sum(axis=1, keepdims=True)
-        p = reproduction_probabilities(phi, Q)
-        assert (p >= -1e-15).all()
-        assert abs(p.sum() - 1.0) < 1e-12
+        game = GameMatrix(rng.random((n, n)) + 1e-3)
+        kern = build_kernel(n, n + 3, Incentive.replicator(), game, MutationModel.from_matrix(Q))
+        T = kern.matrix
+        assert (T.data >= 0).all()
+        assert np.abs(T.sum(axis=1) - 1.0).max() < 1e-12
 
 
 def test_batch_matches_single():

@@ -10,19 +10,21 @@ from evorate import (
     NumericalConsistencyError,
     TransitionKernel,
     ValidationError,
-    bound_fraction,
     build_kernel,
     central_states,
     entropy_rate,
     entropy_rate_bound,
     enumerate_states,
-    max_transition_entropy_states,
+    neutral_stationary,
     plug_in_entropy_rate,
     rank_states,
-    shannon_entropy,
     solve_stationary,
-    neutral_stationary,
     transition_entropies,
+)
+from evorate.entropy import (
+    bound_fraction,
+    max_transition_entropy_states,
+    shannon_entropy,
     transition_entropy,
 )
 from evorate.catalog import rsp_landscape

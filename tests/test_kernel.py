@@ -11,14 +11,7 @@ from evorate import (
     ValidationError,
     build_kernel,
     central_states,
-    dump_kernel,
     enumerate_states,
-    is_irreducible,
-    rank_state,
-    raw_kernel,
-    recurrent_classes,
-    restrict_to_states,
-    transition_row,
 )
 from evorate.catalog import (
     hawk_dove_landscape,
@@ -26,6 +19,41 @@ from evorate.catalog import (
     neutral_landscape,
     rsp_landscape,
 )
+from evorate.dynamics import incentive_values_batch
+from evorate.kernel import (
+    dump_kernel,
+    is_irreducible,
+    raw_kernel,
+    recurrent_classes,
+    restrict_to_states,
+)
+from evorate.simplex import rank_state
+
+
+def transition_row(counts, incentive, game, mutation):
+    """Nonzero transitions out of one state as (target state, probability).
+
+    Off-diagonal entries come first in (gain, lose) step order, then the
+    self-loop if it carries mass.  Written one state at a time, apart
+    from the batch kernel assembly, so that it can cross-check it.
+    """
+    a = np.asarray(counts, dtype=np.int64)
+    n, N = a.size, int(a.sum())
+    phi = incentive_values_batch(incentive, game, (a / N)[None, :])[0]
+    P = (phi / phi.sum()) @ mutation.matrix(n)
+    out = []
+    for j in range(n):
+        for k in range(n):
+            prob = P[j] * (a[k] / N)
+            if j != k and prob > 0.0:
+                b = a.copy()
+                b[j] += 1
+                b[k] -= 1
+                out.append((b, float(prob)))
+    self_loop = 1.0 - sum(prob for _, prob in out)
+    if self_loop > 0.0:
+        out.append((a.copy(), self_loop))
+    return out
 
 
 def dense_oracle(n, N, incentive, game, mutation):
@@ -144,6 +172,20 @@ def test_corner_row_is_mutation_only():
 def test_population_must_exceed_types():
     with pytest.raises(ValidationError):
         build_kernel(3, 3, Incentive.neutral(), None, MutationModel.uniform(0.1))
+
+
+@pytest.mark.parametrize(
+    "n,N,mutation",
+    [
+        (1, 5, MutationModel.uniform(0.1)),
+        (1, 5, MutationModel.from_matrix([[1.0]])),
+        (2, 6.0, MutationModel.uniform(0.1)),
+    ],
+    ids=["one-type-uniform", "one-type-custom-1x1", "float-N"],
+)
+def test_lattice_dimensions_are_checked_first(n, N, mutation):
+    with pytest.raises(ValidationError, match="two types|integers"):
+        build_kernel(n, N, Incentive.neutral(), None, mutation)
 
 
 def test_game_shape_must_match():

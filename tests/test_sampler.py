@@ -8,12 +8,11 @@ from evorate import (
     ValidationError,
     build_kernel,
     central_states,
-    dump_trajectory,
-    load_trajectory,
     neutral_stationary,
     rank_states,
     sample_trajectory,
 )
+from evorate.sampler import dump_trajectory, load_trajectory
 
 
 @pytest.fixture(scope="module")

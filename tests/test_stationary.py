@@ -1,9 +1,9 @@
 import io
 import json
-import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.sparse import identity
 from scipy.sparse.linalg import spsolve
 
@@ -17,44 +17,25 @@ from evorate import (
     StationaryDistribution,
     ValidationError,
     build_kernel,
-    check_detailed_balance,
-    export_stationary_csv,
-    log_rising_factorial,
     neutral_stationary,
-    raw_kernel,
     reversible_stationary,
-    rising_factorial,
     solve_stationary,
-    stationary_residual,
 )
 from evorate import stationary as stationary_module
 from evorate.catalog import moran_landscape, rsp_landscape
 from evorate.cli import main
-from evorate.stationary import ARNOLDI_MIN_STATES, DIRECT_MAX_STATES
+from evorate.kernel import raw_kernel
+from evorate.stationary import (
+    ARNOLDI_MIN_STATES,
+    DIRECT_MAX_STATES,
+    check_detailed_balance,
+    export_stationary_csv,
+    stationary_residual,
+)
 
 
 def neutral_kernel(n, N, mu):
     return build_kernel(n, N, Incentive.neutral(), None, MutationModel.uniform(mu))
-
-
-def test_rising_factorial():
-    assert rising_factorial(2.0, 3) == 24.0
-    assert rising_factorial(5.0, 0) == 1.0
-    assert rising_factorial(0.0, 0) == 1.0
-    assert rising_factorial(0.0, 2) == 0.0
-    assert rising_factorial(0.5, 2) == 0.75
-    with pytest.raises(ValidationError):
-        rising_factorial(1.0, -1)
-
-
-def test_log_rising_factorial_matches_direct():
-    for x in (0.3, 1.0, 2.5, 40.0):
-        for k in (0, 1, 2, 7):
-            assert log_rising_factorial(x, k) == pytest.approx(
-                math.log(rising_factorial(x, k)), abs=1e-12
-            )
-    with pytest.raises(ValidationError):
-        log_rising_factorial(0.0, 2)
 
 
 def test_neutral_stationary_hand_computed():
@@ -204,6 +185,15 @@ def test_arnoldi_budget(capsys, tmp_path):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_arnoldi_nan_vector_is_a_convergence_error(monkeypatch):
+    def nan_eigs(A, **kwargs):
+        return None, np.full((A.shape[0], 1), np.nan)
+
+    monkeypatch.setattr(stationary_module, "eigs", nan_eigs)
+    with pytest.raises(ConvergenceError, match="Arnoldi"):
+        solve_stationary(neutral_kernel(4, 20, 0.05))
+
+
 def test_arnoldi_route_requires_irreducibility():
     with pytest.raises(ReducibleChainError):
         solve_stationary(neutral_kernel(4, 20, 0.0))
@@ -322,6 +312,16 @@ def test_reversible_rejects_one_way_edges():
         reversible_stationary(T)
 
 
+def test_reversible_reads_duplicate_entries_summed():
+    # Row 0 stores its move to state 1 as two entries of 0.25.
+    T = sparse.csr_array(
+        ([0.25, 0.25, 0.5, 0.25, 0.75], [1, 1, 0, 0, 1], [0, 3, 5]), shape=(2, 2)
+    )
+    dist = reversible_stationary(raw_kernel(T))
+    assert np.allclose(dist.probabilities, [1 / 3, 2 / 3], atol=1e-15)
+    assert T.nnz == 5  # the input itself is left as it was
+
+
 def test_reversible_rejects_disconnected_support():
     with pytest.raises(ReducibleChainError):
         reversible_stationary(raw_kernel(np.eye(2)))
@@ -345,6 +345,12 @@ def test_distribution_validation():
         StationaryDistribution(np.array([1.2, -0.2]), method="test")
     with pytest.raises(ValidationError):
         stationary_residual(neutral_kernel(2, 5, 0.1), np.ones(3) / 3)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_distribution_rejects_non_finite_entries(bad):
+    with pytest.raises(ValidationError):
+        StationaryDistribution(np.array([bad, 1.0]), method="test")
 
 
 def test_export_stationary_csv():

@@ -22,14 +22,17 @@ from evorate import (
     load_sweep_spec,
     run_sweep,
     solve_stationary,
+)
+from evorate import stationary as stationary_module
+from evorate import sweep as sweep_module
+from evorate.sweep import (
+    CSV_COLUMNS,
+    THREADS_ENV_VAR,
     sweep_points,
     worker_count,
     write_rows_csv,
     write_rows_json,
 )
-from evorate import stationary as stationary_module
-from evorate import sweep as sweep_module
-from evorate.sweep import CSV_COLUMNS, THREADS_ENV_VAR
 
 
 def _config(n=2, N=10, incentive=None, mu=0.1, landscape=None):
