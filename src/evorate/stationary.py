@@ -97,7 +97,9 @@ class StationaryDistribution:
         if p.ndim != 1 or p.size == 0:
             raise ValidationError(f"probabilities must be a vector, got shape {p.shape}")
         if not np.isfinite(p).all() or (p < 0).any() or abs(p.sum() - 1.0) > 1e-9:
-            raise ValidationError("stationary probabilities must be nonnegative and sum to 1")
+            raise ValidationError(
+                "stationary probabilities must be finite, nonnegative and sum to 1"
+            )
         p = p.copy()
         p.flags.writeable = False
         object.__setattr__(self, "probabilities", p)
