@@ -142,7 +142,7 @@ def landscape_from_json(doc) -> Landscape:
             return Landscape.custom(game_matrix_from_json(doc))
         raise ValidationError("landscape document is missing 'name'")
     name = str(doc["name"]).replace("-", "_")
-    if name == "custom" or "matrix" in doc:
+    if name == "custom":
         return Landscape.custom(game_matrix_from_json(doc))
     known = {"name", "r", "a", "b"}
     extra = set(doc) - known

@@ -178,7 +178,7 @@ def _cmd_entropy_rate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     spec = load_sweep_spec_file(args.config)
-    rows = run_sweep(spec, threads=args.threads, tol=args.tol, max_iters=args.max_iters)
+    rows = run_sweep(spec, tol=args.tol, max_iters=args.max_iters)
     path = args.out if args.out is not None else spec.output_path
     with _output(path) as fh:
         if spec.output_format == "json":
@@ -254,7 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("sweep", help="run a parameter sweep from a JSON config")
     sub.add_argument("--config", required=True, help="sweep configuration file")
-    sub.add_argument("--threads", type=int, help="worker threads (default: EVORATE_THREADS or CPUs)")
     _add_solver_args(sub)
     sub.add_argument("--out", help="override the configured output path")
     sub.set_defaults(func=_cmd_sweep)

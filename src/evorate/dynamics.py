@@ -156,23 +156,6 @@ class MutationModel:
         return Q
 
 
-def _check_fractions(abar: np.ndarray, n: int | None = None) -> np.ndarray:
-    x = np.asarray(abar, dtype=np.float64)
-    if x.ndim != 1 or x.size < 2:
-        raise ValidationError(f"expected a fraction vector, got shape {x.shape}")
-    if n is not None and x.size != n:
-        raise ValidationError(f"fraction vector has {x.size} entries, expected {n}")
-    if (x < -_SIMPLEX_TOL).any() or abs(x.sum() - 1.0) > 1e-9:
-        raise ValidationError(f"fractions must be nonnegative and sum to 1, got {x.tolist()}")
-    return np.clip(x, 0.0, None)
-
-
-def fitness(game: GameMatrix, abar) -> np.ndarray:
-    """Linear fitness f(abar) = A @ abar."""
-    x = _check_fractions(abar, game.n)
-    return game.entries @ x
-
-
 def _power_with_zero_convention(x: np.ndarray, q: float) -> np.ndarray:
     """x^q elementwise with 0^0 = 1, for x >= 0 and q >= 0."""
     if q == 0.0:

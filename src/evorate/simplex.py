@@ -14,7 +14,7 @@ rank 0 and (0, ..., 0, N) has rank C(N+n-1, n-1) - 1.
 
 import math
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations
 
 import numpy as np
 
@@ -175,11 +175,13 @@ def central_states(n: int, N: int) -> np.ndarray:
     """States closest to the barycenter, in canonical order.
 
     When n divides N this is the single state (N/n, ..., N/n); otherwise
-    all distinct permutations of the floor/ceil split.
+    all distinct placements of the N % n larger entries of the
+    floor/ceil split.  Choosing their positions in lexicographic order
+    gives descending-lex states, the canonical order.
     """
     _check_dims(n, N)
-    base = N // n
-    extra = N % n
-    values = (base + 1,) * extra + (base,) * (n - extra)
-    unique = sorted(set(permutations(values)), reverse=True)
-    return np.array(unique, dtype=np.int64)
+    base, extra = divmod(N, n)
+    positions = np.array(list(combinations(range(n), extra)), dtype=np.int64)
+    states = np.full((len(positions), n), base, dtype=np.int64)
+    np.put_along_axis(states, positions, base + 1, axis=1)
+    return states

@@ -40,12 +40,12 @@ For the closed form, write alpha = N mu / (n - 1 - n mu).  Then
 with (x)_k the rising factorial.  At mu = (n-1)/n reproduction is
 uniform over types regardless of the incentive and the formula reduces
 to multinomial(N; a) / n^N.  For mu > (n-1)/n alpha turns negative and
-the product form stops being usable term by term, so the solver falls
-back to iteration.
+the product form stops being usable term by term, so neutral_stationary
+refuses those rates; evaluate_process sends such chains to the numerical
+solvers instead.
 """
 
 import threading
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,14 +54,13 @@ from scipy.sparse.csgraph import breadth_first_order
 from scipy.sparse.linalg import ArpackError, eigs, splu
 from scipy.special import gammaln
 
-from .dynamics import Incentive, MutationModel
 from .errors import (
     ConvergenceError,
     NotReversibleError,
     ReducibleChainError,
     ValidationError,
 )
-from .kernel import TransitionKernel, build_kernel, is_irreducible, recurrent_classes
+from .kernel import TransitionKernel, is_irreducible, recurrent_classes
 from .simplex import _states_cached, num_states, rank_states
 
 DEFAULT_TOL = 1e-12
@@ -108,35 +107,30 @@ class StationaryDistribution:
 def neutral_stationary(n: int, N: int, mu: float) -> StationaryDistribution:
     """Closed-form stationary distribution of the neutral uniform-mutation process.
 
-    Requires 0 < mu <= 1.  Above mu = (n-1)/n the closed form breaks
-    down and the function falls back to solve_stationary (with a
-    RuntimeWarning), so the returned method may be "iterative",
-    "direct" or "arnoldi".
+    Requires 0 < mu <= (n-1)/n, the rate at which reproduction becomes
+    uniform over types.  Above it the closed form breaks down, so a
+    ValidationError points to evaluate_process, which solves such
+    chains numerically.
     """
     M = num_states(n, N)
-    if not (np.isfinite(mu) and 0.0 < mu <= 1.0):
-        raise ValidationError(f"need a mutation rate in (0, 1], got {mu}")
     uniform_mu = (n - 1) / n
+    if not (np.isfinite(mu) and 0.0 < mu <= uniform_mu + 1e-12):
+        raise ValidationError(
+            f"the closed form needs 0 < mu <= (n-1)/n = {uniform_mu}, got mu={mu}; "
+            "evaluate_process solves chains at other mutation rates"
+        )
     S = _states_cached(n, N)
     log_multinom = gammaln(N + 1) - gammaln(S + 1).sum(axis=1)
     if abs(mu - uniform_mu) <= 1e-12:
         # Reproduction is uniform over types: multinomial(N; a) / n^N.
         logs = log_multinom - N * np.log(n)
-    elif mu < uniform_mu:
+    else:
         alpha = N * mu / (n - 1 - n * mu)
         logs = (
             log_multinom
             + (gammaln(alpha + S) - gammaln(alpha)).sum(axis=1)
             - (gammaln(n * alpha + N) - gammaln(n * alpha))
         )
-    else:
-        warnings.warn(
-            f"mu={mu} exceeds (n-1)/n={uniform_mu}; falling back to the iterative solver",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        kern = build_kernel(n, N, Incentive.neutral(), None, MutationModel.uniform(mu))
-        return solve_stationary(kern)
     logs -= logs.max()
     s = np.exp(logs)
     s /= s.sum()

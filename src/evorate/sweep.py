@@ -25,23 +25,25 @@ the set reachable from the central states and restricted to their
 recurrent class; if more than one class remains there is no unique
 stationary distribution and the point is reported as an error.
 
-A sweep varies up to two named parameters over grids, evaluates each
-point (optionally across a thread pool, whose workers take turns at the
-sparse LU so that only one factor is in memory), and emits rows with a
-fixed column set; any per-point failure lands in the row's error column
-rather than aborting, except entropy-rate bound violations, which
-indicate an implementation problem and abort the run.
+A sweep varies up to two named parameters over grids, evaluates the
+points on a thread pool of one worker per CPU (at most 8, and no more
+than there are points), whose workers take turns at the sparse LU so
+that only one factor is in memory, and emits rows with a fixed column
+set; any per-point failure lands in the row's error column rather than
+aborting, except entropy-rate bound violations, which indicate an
+implementation problem and abort the run.
 """
 
 import csv
 import itertools
 import json
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .catalog import Landscape, landscape_from_json
+from .catalog import Landscape, _as_float, landscape_from_json
 from .dynamics import Incentive, MutationModel
 from .entropy import EntropyReport, entropy_rate
 from .errors import (
@@ -68,8 +70,6 @@ from .stationary import (
     solve_stationary,
     stationary_residual,
 )
-
-THREADS_ENV_VAR = "EVORATE_THREADS"
 
 AXIS_NAMES = ("mu", "N", "beta", "q", "r", "a", "b", "k")
 
@@ -326,19 +326,12 @@ class SweepRow:
     error: str | None = None
 
     def as_dict(self) -> dict:
-        return {name: getattr(self, "param_" + name if name in ("a", "b") else name)
-                for name in CSV_COLUMNS}
+        return {name: getattr(self, name) for name in CSV_COLUMNS}
 
 
 def _point_config(spec: SweepSpec, params: dict) -> tuple[ProcessConfig, float | None, float | None]:
     """Materialize one grid point: config plus the (mu, k) used there."""
-    if "N" in params:
-        value = params["N"]
-        if value != int(value):
-            raise ValidationError(f"N must be an integer, got {value}")
-        N = int(value)
-    else:
-        N = spec.N
+    N = int(params["N"]) if "N" in params else spec.N
 
     inc = spec.incentive
     if "q" in params or "beta" in params:
@@ -413,40 +406,23 @@ def sweep_points(spec: SweepSpec) -> list[dict]:
     return [dict(zip(names, combo)) for combo in itertools.product(*grids)]
 
 
-def worker_count(requested: int | None = None) -> int:
-    """Thread count: explicit argument, else the environment, else one per CPU."""
-    if requested is None:
-        env = os.environ.get(THREADS_ENV_VAR)
-        if env is not None:
-            try:
-                requested = int(env)
-            except ValueError as exc:
-                raise ValidationError(f"{THREADS_ENV_VAR}={env!r} is not an integer") from exc
-    if requested is None:
-        return min(os.cpu_count() or 1, 8)
-    if requested < 1:
-        raise ValidationError(f"worker count must be positive, got {requested}")
-    return requested
+def worker_count() -> int:
+    """Sweep pool size: one worker per CPU, at most 8."""
+    return min(os.cpu_count() or 1, 8)
 
 
 def run_sweep(
     spec: SweepSpec,
-    threads: int | None = None,
     tol: float = DEFAULT_TOL,
     max_iters: int = DEFAULT_MAX_ITERS,
 ) -> list[SweepRow]:
-    """Evaluate every grid point, in grid order.
+    """Evaluate every grid point on a thread pool; rows come in grid order.
 
     Per-point failures are recorded in the row's error column; an
     entropy-rate bound violation aborts the whole sweep.
     """
     points = sweep_points(spec)
-    workers = min(worker_count(threads), len(points))
-    if workers <= 1:
-        return [_evaluate_point(spec, p, tol, max_iters) for p in points]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=min(worker_count(), len(points))) as pool:
         return list(pool.map(lambda p: _evaluate_point(spec, p, tol, max_iters), points))
 
 
@@ -480,7 +456,8 @@ def incentive_from_json(doc) -> Incentive:
     extra = set(doc) - {"kind", "q", "beta"}
     if extra:
         raise ValidationError(f"incentive has unknown keys {sorted(extra)}")
-    return Incentive(kind, q=doc.get("q"), beta=doc.get("beta"))
+    params = {key: _as_float(doc[key], f"incentive {key!r}") for key in ("q", "beta") if key in doc}
+    return Incentive(kind, **params)
 
 
 def mutation_from_json(doc) -> MutationModel:
@@ -489,7 +466,7 @@ def mutation_from_json(doc) -> MutationModel:
     if ("mu" in doc) == ("matrix" in doc):
         raise ValidationError("mutation needs exactly one of 'mu' or 'matrix'")
     if "mu" in doc:
-        return MutationModel.uniform(doc["mu"])
+        return MutationModel.uniform(_as_float(doc["mu"], "mutation 'mu'"))
     return MutationModel.from_matrix(doc["matrix"])
 
 
@@ -512,7 +489,8 @@ def load_sweep_spec(doc) -> SweepSpec:
             raise ValidationError(f"axis {i} must be an object with 'name' and 'values'")
         if not isinstance(axis["values"], list):
             raise ValidationError(f"axis {i} 'values' must be a list")
-        axes.append(SweepAxis(str(axis["name"]), tuple(axis["values"])))
+        values = tuple(_as_float(v, f"axis {i} value") for v in axis["values"])
+        axes.append(SweepAxis(str(axis["name"]), values))
 
     derived = None
     if "derived_mu" in doc:
@@ -522,9 +500,8 @@ def load_sweep_spec(doc) -> SweepSpec:
         unknown = set(d) - {"rule", "k", "c", "base"}
         if unknown:
             raise ValidationError(f"derived_mu has unknown keys {sorted(unknown)}")
-        derived = DerivedMu(
-            str(d["rule"]), k=d.get("k"), c=d.get("c"), base=d.get("base", "N+1")
-        )
+        params = {key: _as_float(d[key], f"derived_mu {key!r}") for key in ("k", "c") if key in d}
+        derived = DerivedMu(str(d["rule"]), base=d.get("base", "N+1"), **params)
 
     output_path = None
     output_format = "csv"

@@ -174,10 +174,10 @@ def test_sweep_end_to_end(tmp_path, capsys):
     }
     config_path = tmp_path / "sweep.json"
     config_path.write_text(json.dumps(config))
-    code, out, err = run_cli(capsys, "sweep", "--config", str(config_path), "--threads", "2")
+    code, out, err = run_cli(capsys, "sweep", "--config", str(config_path))
     assert code == 0
     assert out == "" and err == ""
-    records = list(csv.DictReader(out_path.open()))
+    records = list(csv.DictReader(out_path.read_text().splitlines()))
     assert len(records) == 2
     assert [r["beta"] for r in records] == ["0.0", "1.0"]
     assert float(records[0]["entropy_rate"]) > float(records[1]["entropy_rate"])
@@ -224,6 +224,21 @@ def test_sweep_invalid_json_exits_one(tmp_path, capsys):
     code, _, err = run_cli(capsys, "sweep", "--config", str(config_path))
     assert code == 1
     assert "invalid JSON" in err
+
+
+def test_sweep_wrong_typed_number_exits_one(tmp_path, capsys):
+    config = {
+        "n": 2,
+        "N": 8,
+        "incentive": {"kind": "fermi", "beta": "strong"},
+        "mutation": {"mu": 0.1},
+    }
+    config_path = tmp_path / "sweep.json"
+    config_path.write_text(json.dumps(config))
+    code, _, err = run_cli(capsys, "sweep", "--config", str(config_path))
+    assert code == 1
+    assert "must be a number" in err
+    assert "Traceback" not in err
 
 
 def test_sweep_missing_config_exits_one(tmp_path, capsys):

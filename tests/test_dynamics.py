@@ -10,7 +10,7 @@ from evorate import (
     build_kernel,
 )
 from evorate.catalog import hawk_dove_landscape, moran_landscape, neutral_landscape, rsp_landscape
-from evorate.dynamics import fitness, incentive_values_batch
+from evorate.dynamics import incentive_values_batch
 from evorate.simplex import rank_state
 
 
@@ -36,21 +36,13 @@ def test_game_matrix_is_read_only():
 
 
 def test_fitness_values():
-    assert fitness(neutral_landscape(3), [0.2, 0.3, 0.5]).tolist() == [1, 1, 1]
-    assert fitness(moran_landscape(2), [0.7, 0.3]).tolist() == [2, 1]
+    # Linear fitness f(x) = A @ x.
+    assert (neutral_landscape(3).entries @ [0.2, 0.3, 0.5]).tolist() == [1, 1, 1]
+    assert (moran_landscape(2).entries @ [0.7, 0.3]).tolist() == [2, 1]
     third = [1 / 3, 1 / 3, 1 / 3]
-    assert fitness(rsp_landscape(1, 1), third).tolist() == [0, 0, 0]
-    hd = fitness(hawk_dove_landscape(), [0.5, 0.5])
+    assert (rsp_landscape(1, 1).entries @ third).tolist() == [0, 0, 0]
+    hd = hawk_dove_landscape().entries @ [0.5, 0.5]
     assert hd.tolist() == [1.5, 1.5]
-
-
-def test_fitness_validates_fractions():
-    with pytest.raises(ValidationError):
-        fitness(moran_landscape(2), [0.7, 0.7])
-    with pytest.raises(ValidationError):
-        fitness(moran_landscape(2), [1.2, -0.2])
-    with pytest.raises(ValidationError):
-        fitness(moran_landscape(2), [0.2, 0.3, 0.5])
 
 
 def test_incentive_validation():

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -154,3 +155,12 @@ def test_central_states():
     assert central_states(2, 5).tolist() == [[3, 2], [2, 3]]
     assert central_states(3, 7).tolist() == [[3, 2, 2], [2, 3, 2], [2, 2, 3]]
     assert central_states(3, 9).tolist() == [[3, 3, 3]]
+    # Every distinct permutation of the floor/ceil split, in canonical order.
+    for n in range(2, 7):
+        for N in range(n, 13):
+            base, extra = divmod(N, n)
+            split = (base + 1,) * extra + (base,) * (n - extra)
+            expected = sorted(set(itertools.permutations(split)), reverse=True)
+            assert central_states(n, N).tolist() == [list(a) for a in expected], (n, N)
+    # Enumerating 12! permutations takes over a minute; 12 placements do not.
+    assert central_states(12, 13).tolist() == (np.ones((12, 12)) + np.eye(12)).tolist()

@@ -11,12 +11,15 @@ from evorate import (
     ConvergenceError,
     GameMatrix,
     Incentive,
+    Landscape,
     MutationModel,
     NotReversibleError,
+    ProcessConfig,
     ReducibleChainError,
     StationaryDistribution,
     ValidationError,
     build_kernel,
+    evaluate_process,
     neutral_stationary,
     reversible_stationary,
     solve_stationary,
@@ -68,11 +71,15 @@ def test_closed_form_is_stationary_and_balanced(n, N, mu):
 
 
 def test_neutral_stationary_falls_back_above_uniform_mu():
-    with pytest.warns(RuntimeWarning, match="falling back"):
-        dist = neutral_stationary(2, 6, 0.9)
-    assert dist.method == "iterative"
+    # The closed form refuses mu > (n-1)/n; evaluate_process solves the chain.
+    with pytest.raises(ValidationError, match="evaluate_process"):
+        neutral_stationary(2, 6, 0.9)
+    mutation = MutationModel.uniform(0.9)
+    config = ProcessConfig(2, 6, Incentive.neutral(), mutation, Landscape.neutral())
+    dist = evaluate_process(config).stationary
+    assert dist.method == "reversible_exact"
     exact = reversible_stationary(neutral_kernel(2, 6, 0.9))
-    assert np.allclose(dist.probabilities, exact.probabilities, atol=1e-10)
+    assert np.allclose(dist.probabilities, exact.probabilities, rtol=0, atol=1e-10)
 
 
 def test_neutral_stationary_validates_mu():

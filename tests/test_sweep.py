@@ -27,9 +27,7 @@ from evorate import stationary as stationary_module
 from evorate import sweep as sweep_module
 from evorate.sweep import (
     CSV_COLUMNS,
-    THREADS_ENV_VAR,
     sweep_points,
-    worker_count,
     write_rows_csv,
     write_rows_json,
 )
@@ -265,7 +263,7 @@ class TestGridAndRows:
             mutation=MutationModel.uniform(0.1),
             axes=(SweepAxis("beta", (0.0, 0.5, 1.0)),),
         )
-        rows = run_sweep(spec, threads=1)
+        rows = run_sweep(spec)
         assert [row.beta for row in rows] == [0.0, 0.5, 1.0]
         assert rows[0].method == "closed_form"
         assert rows[1].method == "reversible_exact"
@@ -286,7 +284,7 @@ class TestGridAndRows:
             landscape=Landscape.neutral(),
             axes=(SweepAxis("mu", (0.0, 0.1)),),
         )
-        rows = run_sweep(spec, threads=1)
+        rows = run_sweep(spec)
         assert rows[0].error is not None and "recurrent" in rows[0].error
         assert rows[0].entropy_rate is None
         assert rows[1].error is None
@@ -301,7 +299,7 @@ class TestGridAndRows:
             derived_mu=DerivedMu("scaling_k"),
             axes=(SweepAxis("k", (0.0, 1.0, 2.0)),),
         )
-        rows = run_sweep(spec, threads=1)
+        rows = run_sweep(spec)
         assert [row.k for row in rows] == [0.0, 1.0, 2.0]
         assert rows[0].mu == pytest.approx(0.5, abs=1e-15)
         assert rows[1].mu == pytest.approx(0.05, abs=1e-15)
@@ -309,7 +307,7 @@ class TestGridAndRows:
         rates = [row.entropy_rate for row in rows]
         assert rates[0] > rates[1] > rates[2]
 
-    def test_thread_pool_matches_sequential(self):
+    def test_thread_pool_matches_sequential(self, monkeypatch):
         spec = SweepSpec(
             n=2,
             N=12,
@@ -318,8 +316,10 @@ class TestGridAndRows:
             mutation=None,
             axes=(SweepAxis("beta", (0.0, 0.5)), SweepAxis("mu", (0.05, 0.2))),
         )
-        sequential = run_sweep(spec, threads=1)
-        pooled = run_sweep(spec, threads=4)
+        monkeypatch.setattr(sweep_module, "worker_count", lambda: 1)
+        sequential = run_sweep(spec)
+        monkeypatch.setattr(sweep_module, "worker_count", lambda: 4)
+        pooled = run_sweep(spec)
         assert pooled == sequential
 
     def test_pooled_lu_solves_take_turns(self, monkeypatch):
@@ -332,7 +332,8 @@ class TestGridAndRows:
             mutation=None,
             axes=(SweepAxis("beta", (0.5, 1.0)), SweepAxis("mu", (0.05, 0.2))),
         )
-        sequential = run_sweep(spec, threads=1)
+        monkeypatch.setattr(sweep_module, "worker_count", lambda: 1)
+        sequential = run_sweep(spec)
         assert {row.method for row in sequential} == {"direct"}
         live, most = [0], [0]
         factor = stationary_module.splu
@@ -347,7 +348,8 @@ class TestGridAndRows:
                 live[0] -= 1
 
         monkeypatch.setattr(stationary_module, "splu", counting_splu)
-        pooled = run_sweep(spec, threads=4)
+        monkeypatch.setattr(sweep_module, "worker_count", lambda: 4)
+        pooled = run_sweep(spec)
         assert pooled == sequential
         assert most[0] == 1
 
@@ -365,28 +367,7 @@ class TestGridAndRows:
 
         monkeypatch.setattr(sweep_module, "evaluate_process", explode)
         with pytest.raises(NumericalConsistencyError):
-            run_sweep(spec, threads=1)
-
-
-class TestWorkerCount:
-    def test_explicit_argument_wins(self, monkeypatch):
-        monkeypatch.setenv(THREADS_ENV_VAR, "2")
-        assert worker_count(5) == 5
-
-    def test_environment_variable(self, monkeypatch):
-        monkeypatch.setenv(THREADS_ENV_VAR, "3")
-        assert worker_count() == 3
-        monkeypatch.setenv(THREADS_ENV_VAR, "many")
-        with pytest.raises(ValidationError, match=THREADS_ENV_VAR):
-            worker_count()
-
-    def test_default_is_capped(self, monkeypatch):
-        monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
-        assert 1 <= worker_count() <= 8
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValidationError):
-            worker_count(0)
+            run_sweep(spec)
 
 
 @pytest.fixture(scope="module")
@@ -398,7 +379,7 @@ def rows():
         landscape=Landscape.neutral(),
         axes=(SweepAxis("mu", (0.0, 0.1)),),
     )
-    return run_sweep(spec, threads=1)
+    return run_sweep(spec)
 
 
 class TestWriters:
@@ -508,6 +489,27 @@ class TestSpecLoading:
             load_sweep_spec(doc)
         doc["axes"] = [{"name": "beta", "values": 0.5}]
         with pytest.raises(ValidationError, match="must be a list"):
+            load_sweep_spec(doc)
+
+    @pytest.mark.parametrize(
+        "key,value,match",
+        [
+            ("incentive", {"kind": "fermi", "beta": "strong"}, "incentive 'beta' must be a number"),
+            ("incentive", {"kind": "fermi", "beta": 1, "q": [1]}, "incentive 'q' must be a number"),
+            ("mutation", {"mu": "0.1"}, "mutation 'mu' must be a number"),
+            ("axes", [{"name": "beta", "values": ["a", 0.1]}], "axis 0 value must be a number"),
+            ("derived_mu", {"rule": "scaling_k", "k": "1"}, "derived_mu 'k' must be a number"),
+            ("derived_mu", {"rule": "c_over_N", "c": True}, "derived_mu 'c' must be a number"),
+            ("landscape", {"name": "rsp", "a": 1, "b": 1, "matrix": [[1, 2], [3, 4]]}, "'matrix'"),
+        ],
+        ids=["beta", "q", "mu", "axis_value", "k", "c", "matrix_on_named_landscape"],
+    )
+    def test_wrong_typed_fields_rejected(self, key, value, match):
+        doc = self._doc()
+        if key == "derived_mu":
+            del doc["mutation"]
+        doc[key] = value
+        with pytest.raises(ValidationError, match=match):
             load_sweep_spec(doc)
 
     def test_mutation_needs_one_of_mu_or_matrix(self):
