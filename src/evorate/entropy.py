@@ -133,16 +133,27 @@ def plug_in_entropy_rate(trajectory) -> float:
 
         H_hat = -sum_ab c_ab / (L - 1) * log(c_ab / c_a).
 
-    Consistent for an ergodic chain as L grows.
+    Consistent for an ergodic chain as L grows.  Each pair (a, b) is
+    counted as one integer key (a - min) * M + (b - min), with M the label
+    span plus one, so sorted keys are sorted pairs.
     """
     t = np.asarray(trajectory)
     if t.ndim != 1 or t.size < 2:
         raise ValidationError("trajectory must contain at least two observations")
     if not np.issubdtype(t.dtype, np.integer):
         raise ValidationError("trajectory must hold integer state indices")
-    src, dst = t[:-1], t[1:]
-    pairs, counts = np.unique(np.stack([src, dst], axis=1), axis=0, return_counts=True)
-    srcs, src_counts = np.unique(src, return_counts=True)
-    totals = src_counts[np.searchsorted(srcs, pairs[:, 0])]
+    lo = int(t.min())
+    span = int(t.max()) - lo + 1
+    if span * span > np.iinfo(np.int64).max:
+        _, t = np.unique(t, return_inverse=True)
+        lo, span = 0, int(t.max()) + 1
+    # unsigned labels cannot fall below lo; signed ones widen before the shift
+    if t.dtype.kind == "u":
+        t = (t - t.dtype.type(lo)).astype(np.int64)
+    else:
+        t = t.astype(np.int64) - lo
+    pairs, counts = np.unique(t[:-1] * span + t[1:], return_counts=True)
+    _, source = np.unique(pairs // span, return_inverse=True)
+    totals = np.bincount(source, weights=counts)[source]
     conditional = counts / totals
-    return float(-(counts / (t.size - 1) * np.log(conditional)).sum())
+    return float(-(counts / (t.size - 1) * np.log(conditional)).sum()) + 0.0

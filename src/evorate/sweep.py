@@ -513,6 +513,8 @@ def load_sweep_spec(doc) -> SweepSpec:
         if unknown:
             raise ValidationError(f"output has unknown keys {sorted(unknown)}")
         output_path = out.get("path")
+        if output_path is not None and not isinstance(output_path, str):
+            raise ValidationError(f"output 'path' must be a string, got {output_path!r}")
         output_format = out.get("format", "csv")
 
     landscape = (

@@ -241,6 +241,18 @@ def test_sweep_wrong_typed_number_exits_one(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_sweep_non_string_output_path_exits_one(tmp_path, capsys):
+    # an integer path would otherwise be opened as a file descriptor (2 is stderr)
+    config = {"n": 2, "N": 8, "incentive": {"kind": "neutral"}, "mutation": {"mu": 0.1}}
+    config["output"] = {"path": 2}
+    config_path = tmp_path / "sweep.json"
+    config_path.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, "sweep", "--config", str(config_path))
+    assert code == 1
+    assert "output 'path' must be a string" in err
+    assert out == ""
+
+
 def test_sweep_missing_config_exits_one(tmp_path, capsys):
     code, _, err = run_cli(capsys, "sweep", "--config", str(tmp_path / "none.json"))
     assert code == 1

@@ -128,7 +128,50 @@ def test_plug_in_entropy_rate_hand_computed():
 
 
 def test_plug_in_entropy_rate_deterministic_chain():
-    assert plug_in_entropy_rate([0, 1, 0, 1, 0, 1]) == 0.0
+    value = plug_in_entropy_rate([0, 1, 0, 1, 0, 1])
+    assert value == 0.0 and math.copysign(1.0, value) == 1.0  # +0.0, not -0.0
+
+
+def _pair_rows_estimate(trajectory):
+    """Reference: pairs counted as rows of a (L-1, 2) array with np.unique(axis=0)."""
+    t = np.asarray(trajectory)
+    src, dst = t[:-1], t[1:]
+    pairs, counts = np.unique(np.stack([src, dst], axis=1), axis=0, return_counts=True)
+    srcs, src_counts = np.unique(src, return_counts=True)
+    totals = src_counts[np.searchsorted(srcs, pairs[:, 0])]
+    return float(-(counts / (t.size - 1) * np.log(counts / totals)).sum())
+
+
+_WALK = np.random.default_rng(3).integers(0, 6, 2_000)
+
+
+@pytest.mark.parametrize(
+    "trajectory",
+    [
+        _WALK - 3,
+        (_WALK * 40 - 128).astype(np.int8),
+        (_WALK * 13_000).astype(np.uint16),
+        np.uint64(2**64 - 1) - _WALK.astype(np.uint64) * np.uint64(2**61),
+        _WALK * 2**33 - 2**40,
+        np.array([-(2**63), 2**63 - 1, 0, -(2**63), 0, 2**63 - 1]),
+    ],
+    ids=["negative", "int8", "uint16", "uint64", "span_above_2_32", "int64_extremes"],
+)
+def test_plug_in_matches_pair_rows_reference(trajectory):
+    assert plug_in_entropy_rate(trajectory) == _pair_rows_estimate(trajectory)
+
+
+def test_plug_in_matches_pair_rows_reference_on_random_walks():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=50, derandomize=True, deadline=None, database=None)
+    @hypothesis.given(st.lists(st.integers(-5, 5), min_size=2, max_size=60), st.integers(0, 60))
+    def check(walk, shift):
+        trajectory = np.array(walk, dtype=np.int64) * 2**shift
+        assert plug_in_entropy_rate(trajectory) == _pair_rows_estimate(trajectory)
+
+    check()
 
 
 def test_plug_in_validation():

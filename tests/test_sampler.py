@@ -1,10 +1,15 @@
+import hashlib
+
 import numpy as np
 import pytest
+from scipy import sparse
 
 from evorate import (
     Incentive,
+    Landscape,
     MutationModel,
     TrajectoryConfig,
+    TransitionKernel,
     ValidationError,
     build_kernel,
     central_states,
@@ -12,7 +17,7 @@ from evorate import (
     rank_states,
     sample_trajectory,
 )
-from evorate.sampler import dump_trajectory, load_trajectory
+from evorate.sampler import _BLOCK, dump_trajectory, load_trajectory
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +72,57 @@ def test_config_validation():
         TrajectoryConfig(length=0, seed=0)
     with pytest.raises(ValidationError):
         TrajectoryConfig(length=5, seed=-1)
+    with pytest.raises(ValidationError, match="length"):
+        TrajectoryConfig(length=True, seed=0)
+    with pytest.raises(ValidationError, match="seed"):
+        TrajectoryConfig(length=5, seed=False)
+    assert TrajectoryConfig(length=np.int64(5), seed=np.uint8(3)).length == 5
+
+
+def _searchsorted_walk(kernel, start, config):
+    """Reference: the per-step np.searchsorted loop over cached numpy rows."""
+    T = kernel.matrix
+    out = [start]
+    cache = {}
+    for u in np.random.Generator(np.random.PCG64(config.seed)).random(config.length - 1):
+        current = out[-1]
+        if current not in cache:
+            lo, hi = T.indptr[current], T.indptr[current + 1]
+            cache[current] = (T.indices[lo:hi], np.cumsum(T.data[lo:hi]))
+        cols, cum = cache[current]
+        out.append(int(cols[min(np.searchsorted(cum, u, side="right"), cols.size - 1)]))
+    return np.array(out)
+
+
+def test_golden_trajectory():
+    # Recorded from the np.searchsorted sampler (commit e5f4dea, before rows
+    # became Python lists stepped with bisect); the walk must not change.
+    game = Landscape.rsp(a=1.0, b=1.0).build(3)
+    kern = build_kernel(3, 30, Incentive.fermi(beta=1.0), game, MutationModel.uniform(1 / 30))
+    path = sample_trajectory(kern, TrajectoryConfig(length=5000, seed=12345))
+    assert path[:10].tolist() == [220, 219, 218, 239, 240, 240, 240, 240, 219, 220]
+    assert path[-10:].tolist() == [397, 397, 397, 369, 369, 369, 369, 370, 370, 370]
+    digest = hashlib.sha256(path.astype("<i8").tobytes()).hexdigest()
+    assert digest == "17027c1f2abbf68a55754cc59b7aaa3befa3b62a3ea9eb963a80eee5474e2f75"
+
+
+@pytest.mark.parametrize("length", [2, _BLOCK, _BLOCK + 1, _BLOCK + 2])
+def test_walk_across_block_edges_matches_reference(kern, length):
+    # _BLOCK + 1 states take exactly one block of draws; _BLOCK + 2 spill one into a second
+    config = TrajectoryConfig(length=length, seed=5, start=4)
+    path = sample_trajectory(kern, config)
+    assert path.dtype == np.int64
+    assert np.array_equal(path, _searchsorted_walk(kern, 4, config))
+
+
+def test_row_without_transitions_fails_when_reached():
+    # 0 -> 1 -> 2 deterministically; row 2 is empty
+    T = sparse.csr_array(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]]))
+    kern = TransitionKernel(matrix=T)
+    path = sample_trajectory(kern, TrajectoryConfig(length=3, seed=0, start=0))
+    assert path.tolist() == [0, 1, 2]
+    with pytest.raises(ValidationError, match="row 2 has no transitions"):
+        sample_trajectory(kern, TrajectoryConfig(length=50, seed=0, start=0))
 
 
 def test_empirical_frequencies_match_stationary(kern):

@@ -512,6 +512,13 @@ class TestSpecLoading:
         with pytest.raises(ValidationError, match=match):
             load_sweep_spec(doc)
 
+    @pytest.mark.parametrize("path", [2, 1.5, ["out.csv"], {"file": "out.csv"}, True])
+    def test_output_path_must_be_a_string(self, path):
+        doc = self._doc()
+        doc["output"]["path"] = path
+        with pytest.raises(ValidationError, match="output 'path' must be a string"):
+            load_sweep_spec(doc)
+
     def test_mutation_needs_one_of_mu_or_matrix(self):
         doc = self._doc()
         doc["mutation"] = {"mu": 0.1, "matrix": [[1.0, 0.0], [0.0, 1.0]]}
