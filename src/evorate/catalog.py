@@ -158,6 +158,18 @@ def _as_float(value, where: str) -> float:
     return float(value)
 
 
+def _check_square_rows(rows, where: str = "") -> None:
+    """Raise ValidationError unless rows is a non-empty square list of number lists."""
+    if not isinstance(rows, list) or not rows:
+        raise ValidationError(f"{where}'matrix' must be a non-empty list of rows")
+    n = len(rows)
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != n:
+            raise ValidationError(f"{where}matrix row {i} must be a list of length {n}")
+        for j, value in enumerate(row):
+            _as_float(value, f"{where}matrix entry [{i}][{j}]")
+
+
 def game_matrix_from_json(doc) -> GameMatrix:
     """Parse {"n": ..., "matrix": [[...], ...]} into a GameMatrix.
 
@@ -168,15 +180,8 @@ def game_matrix_from_json(doc) -> GameMatrix:
     if "matrix" not in doc:
         raise ValidationError("game matrix document is missing 'matrix'")
     rows = doc["matrix"]
-    if not isinstance(rows, list) or not rows:
-        raise ValidationError("'matrix' must be a non-empty list of rows")
+    _check_square_rows(rows)
     n = len(rows)
-    for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != n:
-            raise ValidationError(f"matrix row {i} must be a list of length {n}")
-        for j, value in enumerate(row):
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValidationError(f"matrix entry [{i}][{j}] must be a number, got {value!r}")
     if "n" in doc and doc["n"] != n:
         raise ValidationError(f"document says n={doc['n']} but matrix has {n} rows")
     return GameMatrix(rows)

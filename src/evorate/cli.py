@@ -23,13 +23,7 @@ from .errors import (
 from .kernel import build_kernel, dump_kernel
 from .sampler import TrajectoryConfig, dump_trajectory, load_trajectory, sample_trajectory
 from .simplex import central_states, enumerate_states, num_states
-from .stationary import (
-    ARNOLDI_MIN_STATES,
-    DEFAULT_MAX_ITERS,
-    DEFAULT_TOL,
-    DIRECT_MAX_STATES,
-    export_stationary_csv,
-)
+from .stationary import DEFAULT_TOL, export_stationary_csv
 from .sweep import (
     ProcessConfig,
     evaluate_process,
@@ -73,14 +67,6 @@ def _add_process_args(sub: argparse.ArgumentParser) -> None:
 
 def _add_solver_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--tol", type=float, default=DEFAULT_TOL, help="solver residual tolerance")
-    sub.add_argument(
-        "--max-iters",
-        type=int,
-        default=DEFAULT_MAX_ITERS,
-        help="solver iteration budget: power-iteration steps, or ARPACK restarts "
-        f"for chains above {ARNOLDI_MIN_STATES:,} states; unused by the sparse LU "
-        f"of three-type chains up to {DIRECT_MAX_STATES:,} states",
-    )
 
 
 def _landscape_from_args(args) -> Landscape:
@@ -162,14 +148,14 @@ def _cmd_kernel(args) -> int:
 
 
 def _cmd_stationary(args) -> int:
-    result = evaluate_process(_process_config(args), tol=args.tol, max_iters=args.max_iters)
+    result = evaluate_process(_process_config(args), tol=args.tol)
     with _output(args.out) as fh:
         export_stationary_csv(result.kernel, result.stationary, fh)
     return 0
 
 
 def _cmd_entropy_rate(args) -> int:
-    result = evaluate_process(_process_config(args), tol=args.tol, max_iters=args.max_iters)
+    result = evaluate_process(_process_config(args), tol=args.tol)
     with _output(args.out) as fh:
         json.dump(result.report.to_json(), fh, indent=2)
         fh.write("\n")
@@ -178,7 +164,7 @@ def _cmd_entropy_rate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     spec = load_sweep_spec_file(args.config)
-    rows = run_sweep(spec, tol=args.tol, max_iters=args.max_iters)
+    rows = run_sweep(spec, tol=args.tol)
     path = args.out if args.out is not None else spec.output_path
     with _output(path) as fh:
         if spec.output_format == "json":

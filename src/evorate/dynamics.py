@@ -156,13 +156,6 @@ class MutationModel:
         return Q
 
 
-def _power_with_zero_convention(x: np.ndarray, q: float) -> np.ndarray:
-    """x^q elementwise with 0^0 = 1, for x >= 0 and q >= 0."""
-    if q == 0.0:
-        return np.ones_like(x)
-    return np.power(x, q)
-
-
 def _ill_defined(message: str, row: int) -> IllDefinedIncentiveError:
     exc = IllDefinedIncentiveError(message)
     exc.row = int(row)  # lets batch callers name the offending state
@@ -200,7 +193,7 @@ def incentive_values_batch(
         ties = f1 == f2
         phi[ties] = X[ties]
     elif incentive.kind == "replicator":
-        phi = _power_with_zero_convention(X, incentive.q) * F
+        phi = np.power(X, incentive.q) * F
         bad = np.flatnonzero((phi < 0).any(axis=1))
         if bad.size:
             raise _ill_defined(
@@ -209,7 +202,7 @@ def incentive_values_batch(
                 bad[0],
             )
     else:  # fermi
-        weights = _power_with_zero_convention(X, incentive.q)
+        weights = np.power(X, incentive.q)
         logits = incentive.beta * F
         logits -= logits.max(axis=1, keepdims=True)  # overflow guard
         phi = weights * np.exp(logits)

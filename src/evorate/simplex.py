@@ -101,8 +101,6 @@ def _binom_table(top: int, k_max: int) -> np.ndarray:
     for t in range(1, top + 1):
         hi = min(t, k_max)
         table[t, 1 : hi + 1] = table[t - 1, 0:hi] + table[t - 1, 1 : hi + 1]
-        if k_max > t:
-            table[t, t + 1 :] = 0
     return table
 
 

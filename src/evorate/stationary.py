@@ -14,6 +14,9 @@ Five routes to the stationary vector s with s T = s:
   arnoldi       implicitly restarted Arnoldi (ARPACK) on T^T, for the
                 other chains above ARNOLDI_MIN_STATES states
 
+The one solver setting is the residual tolerance.  Power iteration and
+ARPACK give up with ConvergenceError after _MAX_ITERS steps or restarts.
+
 Power iteration needs a number of mat-vecs that grows with the chain's
 mixing time: 8.6k-45k on the benchmark's chains of 5k-20k states.
 Arnoldi reaches the same residual in 250-2,300, with O(ncv M) memory.
@@ -64,7 +67,7 @@ from .kernel import TransitionKernel, is_irreducible, recurrent_classes
 from .simplex import _states_cached, num_states, rank_states
 
 DEFAULT_TOL = 1e-12
-DEFAULT_MAX_ITERS = 1_000_000
+_MAX_ITERS = 1_000_000  # power-iteration steps, or ARPACK restarts
 ARNOLDI_MIN_STATES = 1_000  # chains with more states than this use Arnoldi or LU
 DIRECT_MAX_STATES = 10_000  # three-type chains up to this size use the LU
 _DIRECT_MAX_FACTORIZATIONS = 4
@@ -147,31 +150,25 @@ def stationary_residual(kernel: TransitionKernel, probabilities: np.ndarray) -> 
     return float(np.abs(s @ kernel.matrix - s).max())
 
 
-def _check_solver_settings(tol: float, max_iters: int) -> None:
-    """Raise ValidationError unless tol is positive and max_iters at least 1."""
+def _check_tol(tol: float) -> None:
+    """Raise ValidationError unless tol is positive."""
     if not (np.isfinite(tol) and tol > 0):
         raise ValidationError(f"tolerance must be positive, got {tol}")
-    if max_iters < 1:
-        raise ValidationError(f"max_iters must be positive, got {max_iters}")
 
 
-def solve_stationary(
-    kernel: TransitionKernel,
-    tol: float = DEFAULT_TOL,
-    max_iters: int = DEFAULT_MAX_ITERS,
-) -> StationaryDistribution:
+def solve_stationary(kernel: TransitionKernel, tol: float = DEFAULT_TOL) -> StationaryDistribution:
     """Stationary vector of an irreducible kernel to sup-norm residual <= tol.
 
     Chains of at most ARNOLDI_MIN_STATES states use power iteration from
-    the uniform vector, with max_iters bounding its steps; aperiodicity
-    comes for free on the lattice because some state always keeps a
-    self-loop.  Larger three-type lattice chains, up to DIRECT_MAX_STATES
-    states, use a sparse LU solve, where max_iters plays no part.  The
-    rest use ARPACK's Arnoldi solver on T^T, with max_iters bounding its
-    restarts.  Every route measures the returned residual, and a solve
-    that misses tol raises ConvergenceError.
+    the uniform vector; aperiodicity comes for free on the lattice
+    because some state always keeps a self-loop.  Larger three-type
+    lattice chains, up to DIRECT_MAX_STATES states, use a sparse LU
+    solve.  The rest use ARPACK's Arnoldi solver on T^T.  Every route
+    measures the returned residual, and a solve that misses tol, or
+    that runs out of _MAX_ITERS power steps or ARPACK restarts, raises
+    ConvergenceError.
     """
-    _check_solver_settings(tol, max_iters)
+    _check_tol(tol)
     if not is_irreducible(kernel):
         k = len(recurrent_classes(kernel))
         raise ReducibleChainError(
@@ -182,9 +179,9 @@ def solve_stationary(
     if M > ARNOLDI_MIN_STATES:
         if kernel.is_lattice and kernel.n == 3 and M <= DIRECT_MAX_STATES:
             return _direct_stationary(kernel, tol)
-        return _arnoldi_stationary(kernel, tol, max_iters)
+        return _arnoldi_stationary(kernel, tol)
     s = np.full(M, 1.0 / M)
-    for iteration in range(1, max_iters + 1):
+    for iteration in range(1, _MAX_ITERS + 1):
         y = s @ T
         y /= y.sum()
         close = bool(np.abs(y - s).max() <= tol)
@@ -196,13 +193,11 @@ def solve_stationary(
                     s, method="iterative", residual=residual, iterations=iteration
                 )
     raise ConvergenceError(
-        f"power iteration did not reach residual {tol} within {max_iters} iterations"
+        f"power iteration did not reach residual {tol} within {_MAX_ITERS} iterations"
     )
 
 
-def _arnoldi_stationary(
-    kernel: TransitionKernel, tol: float, max_iters: int
-) -> StationaryDistribution:
+def _arnoldi_stationary(kernel: TransitionKernel, tol: float) -> StationaryDistribution:
     """Left Perron vector of T by Arnoldi on the transpose view of T."""
     T = kernel.matrix
     M = T.shape[0]
@@ -210,11 +205,11 @@ def _arnoldi_stationary(
         # A fixed start vector keeps the result deterministic; ARPACK's
         # default one is random.  ArpackNoConvergence is an ArpackError.
         _, vectors = eigs(
-            T.T, k=1, which="LM", v0=np.full(M, 1.0 / M), tol=tol, maxiter=max_iters
+            T.T, k=1, which="LM", v0=np.full(M, 1.0 / M), tol=tol, maxiter=_MAX_ITERS
         )
     except ArpackError as exc:
         raise ConvergenceError(
-            f"Arnoldi failed with a budget of {max_iters} restarts: {exc}"
+            f"Arnoldi failed with a budget of {_MAX_ITERS} restarts: {exc}"
         ) from exc
     s = np.abs(vectors[:, 0].real)
     s /= s.sum()

@@ -19,11 +19,13 @@ the entropy-rate report.  Solver choice:
 The closed-form and reversible routes come first, so two-type chains
 never reach Arnoldi however large they are.
 
-Mutation rate zero makes parts of the lattice unreachable and can leave
-the incentive undefined at the corners, so those processes are built on
-the set reachable from the central states and restricted to their
-recurrent class; if more than one class remains there is no unique
-stationary distribution and the point is reported as an error.
+Uniform mutation at a positive rate makes the chain irreducible.
+Mutation rate zero, or a custom mutation matrix, can make parts of the
+lattice unreachable and leave the incentive undefined at the corners,
+so those processes are built on the set reachable from the central
+states and restricted to their recurrent class; if more than one class
+remains there is no unique stationary distribution and the point is
+reported as an error.
 
 A sweep varies up to two named parameters over grids, evaluates the
 points on a thread pool of one worker per CPU (at most 8, and no more
@@ -34,16 +36,17 @@ aborting, except entropy-rate bound violations, which indicate an
 implementation problem and abort the run.
 """
 
+import contextlib
 import csv
 import itertools
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .catalog import Landscape, _as_float, landscape_from_json
+from .catalog import Landscape, _as_float, _check_square_rows, landscape_from_json
 from .dynamics import Incentive, MutationModel
 from .entropy import EntropyReport, entropy_rate
 from .errors import (
@@ -61,10 +64,9 @@ from .kernel import (
 )
 from .simplex import central_states
 from .stationary import (
-    DEFAULT_MAX_ITERS,
     DEFAULT_TOL,
     StationaryDistribution,
-    _check_solver_settings,
+    _check_tol,
     neutral_stationary,
     reversible_stationary,
     solve_stationary,
@@ -72,25 +74,6 @@ from .stationary import (
 )
 
 AXIS_NAMES = ("mu", "N", "beta", "q", "r", "a", "b", "k")
-
-CSV_COLUMNS = (
-    "n",
-    "N",
-    "mu",
-    "q",
-    "beta",
-    "landscape",
-    "param_a",
-    "param_b",
-    "r",
-    "k",
-    "entropy_rate",
-    "bound",
-    "residual",
-    "method",
-    "error",
-)
-
 
 @dataclass(frozen=True)
 class ProcessConfig:
@@ -134,59 +117,45 @@ def _effectively_neutral(incentive: Incentive, landscape: Landscape, n: int) -> 
     return False
 
 
-def _solve_for_kernel(
-    kern: TransitionKernel, tol: float, max_iters: int
-) -> StationaryDistribution:
-    if kern.n == 2 or kern.num_states == 1:
-        try:
-            return reversible_stationary(kern)
-        except NotReversibleError:
-            pass
-    return solve_stationary(kern, tol=tol, max_iters=max_iters)
-
-
-def evaluate_process(
-    config: ProcessConfig,
-    tol: float = DEFAULT_TOL,
-    max_iters: int = DEFAULT_MAX_ITERS,
-) -> ProcessResult:
+def evaluate_process(config: ProcessConfig, tol: float = DEFAULT_TOL) -> ProcessResult:
     """Kernel, stationary distribution, and entropy rate for one process.
 
-    tol and max_iters are checked here, whichever solver the process
-    ends up needing.
+    tol is checked here, whichever solver the process ends up needing.
     """
-    _check_solver_settings(tol, max_iters)
+    _check_tol(tol)
     n, N = config.n, config.N
-    game = config.landscape.build(n)
     mu = config.mutation.mu
-
-    if mu is not None and mu == 0.0:
-        # Build only what the process can actually visit.
-        kern = build_kernel(
-            n, N, config.incentive, game, config.mutation,
-            reachable_from=central_states(n, N),
-        )
+    # Uniform mutation at a positive rate makes the chain irreducible.
+    # Otherwise build what the process can visit and keep its one class.
+    irreducible = mu is not None and mu > 0.0
+    kern = build_kernel(
+        n, N, config.incentive, config.landscape.build(n), config.mutation,
+        reachable_from=None if irreducible else central_states(n, N),
+    )
+    if not irreducible:
         classes = recurrent_classes(kern)
         if len(classes) != 1:
+            source = "the mutation matrix" if mu is None else "mutation rate 0"
             sizes = [len(c) for c in classes]
             raise ReducibleChainError(
-                f"mutation rate 0 leaves {len(classes)} recurrent classes "
+                f"{source} leaves {len(classes)} recurrent classes "
                 f"(sizes {sizes}); no unique stationary distribution"
             )
         kern = restrict_to_states(kern, classes[0])
-        dist = _solve_for_kernel(kern, tol, max_iters)
-    else:
-        kern = build_kernel(n, N, config.incentive, game, config.mutation)
-        uniform_mu = (n - 1) / n
-        closed_form = mu is not None and (
-            (0.0 < mu <= uniform_mu + 1e-12 and _effectively_neutral(config.incentive, config.landscape, n))
-            or abs(mu - uniform_mu) <= 1e-12
-        )
-        if closed_form:
-            dist = neutral_stationary(n, N, mu)
-            dist = replace(dist, residual=stationary_residual(kern, dist.probabilities))
-        else:
-            dist = _solve_for_kernel(kern, tol, max_iters)
+
+    uniform_mu = (n - 1) / n
+    dist = None
+    if mu is not None and (
+        (0.0 < mu <= uniform_mu + 1e-12 and _effectively_neutral(config.incentive, config.landscape, n))
+        or abs(mu - uniform_mu) <= 1e-12
+    ):
+        dist = neutral_stationary(n, N, mu)
+        dist = replace(dist, residual=stationary_residual(kern, dist.probabilities))
+    elif n == 2 or kern.num_states == 1:
+        with contextlib.suppress(NotReversibleError):
+            dist = reversible_stationary(kern)
+    if dist is None:
+        dist = solve_stationary(kern, tol=tol)
 
     report = entropy_rate(kern, dist)
     return ProcessResult(kernel=kern, stationary=dist, report=report)
@@ -329,27 +298,15 @@ class SweepRow:
         return {name: getattr(self, name) for name in CSV_COLUMNS}
 
 
+CSV_COLUMNS = tuple(field.name for field in fields(SweepRow))
+
+
 def _point_config(spec: SweepSpec, params: dict) -> tuple[ProcessConfig, float | None, float | None]:
     """Materialize one grid point: config plus the (mu, k) used there."""
     N = int(params["N"]) if "N" in params else spec.N
 
-    inc = spec.incentive
-    if "q" in params or "beta" in params:
-        inc = Incentive(
-            inc.kind,
-            q=params.get("q", inc.q),
-            beta=params.get("beta", inc.beta),
-        )
-
-    land = spec.landscape
-    if "r" in params or "a" in params or "b" in params:
-        land = Landscape(
-            land.name,
-            r=params.get("r", land.r),
-            a=params.get("a", land.a),
-            b=params.get("b", land.b),
-            matrix=land.matrix,
-        )
+    inc = replace(spec.incentive, **{key: params[key] for key in ("q", "beta") if key in params})
+    land = replace(spec.landscape, **{key: params[key] for key in ("r", "a", "b") if key in params})
 
     k = None
     if spec.derived_mu is not None and spec.derived_mu.rule == "scaling_k":
@@ -368,7 +325,7 @@ def _point_config(spec: SweepSpec, params: dict) -> tuple[ProcessConfig, float |
     return ProcessConfig(spec.n, N, inc, mutation, land), mu, k
 
 
-def _evaluate_point(spec: SweepSpec, params: dict, tol: float, max_iters: int) -> SweepRow:
+def _evaluate_point(spec: SweepSpec, params: dict, tol: float) -> SweepRow:
     base = {"n": spec.n, "N": spec.N, "landscape": spec.landscape.name}
     try:
         config, mu, k = _point_config(spec, params)
@@ -382,7 +339,7 @@ def _evaluate_point(spec: SweepSpec, params: dict, tol: float, max_iters: int) -
             r=config.landscape.r,
             k=k,
         )
-        result = evaluate_process(config, tol=tol, max_iters=max_iters)
+        result = evaluate_process(config, tol=tol)
         report = result.report
         return SweepRow(
             **base,
@@ -399,8 +356,6 @@ def _evaluate_point(spec: SweepSpec, params: dict, tol: float, max_iters: int) -
 
 def sweep_points(spec: SweepSpec) -> list[dict]:
     """Grid points in row order: first axis outermost."""
-    if not spec.axes:
-        return [{}]
     grids = [axis.values for axis in spec.axes]
     names = [axis.name for axis in spec.axes]
     return [dict(zip(names, combo)) for combo in itertools.product(*grids)]
@@ -411,11 +366,7 @@ def worker_count() -> int:
     return min(os.cpu_count() or 1, 8)
 
 
-def run_sweep(
-    spec: SweepSpec,
-    tol: float = DEFAULT_TOL,
-    max_iters: int = DEFAULT_MAX_ITERS,
-) -> list[SweepRow]:
+def run_sweep(spec: SweepSpec, tol: float = DEFAULT_TOL) -> list[SweepRow]:
     """Evaluate every grid point on a thread pool; rows come in grid order.
 
     Per-point failures are recorded in the row's error column; an
@@ -423,7 +374,7 @@ def run_sweep(
     """
     points = sweep_points(spec)
     with ThreadPoolExecutor(max_workers=min(worker_count(), len(points))) as pool:
-        return list(pool.map(lambda p: _evaluate_point(spec, p, tol, max_iters), points))
+        return list(pool.map(lambda p: _evaluate_point(spec, p, tol), points))
 
 
 def _cell(value) -> str:
@@ -467,6 +418,7 @@ def mutation_from_json(doc) -> MutationModel:
         raise ValidationError("mutation needs exactly one of 'mu' or 'matrix'")
     if "mu" in doc:
         return MutationModel.uniform(_as_float(doc["mu"], "mutation 'mu'"))
+    _check_square_rows(doc["matrix"], "mutation ")
     return MutationModel.from_matrix(doc["matrix"])
 
 

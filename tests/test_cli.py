@@ -14,6 +14,7 @@ from evorate import (
     evaluate_process,
     num_states,
 )
+from evorate import stationary as stationary_module
 from evorate.cli import main
 
 
@@ -241,6 +242,21 @@ def test_sweep_wrong_typed_number_exits_one(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_sweep_ragged_mutation_matrix_exits_one(tmp_path, capsys):
+    config = {
+        "n": 2,
+        "N": 8,
+        "incentive": {"kind": "neutral"},
+        "mutation": {"matrix": [[0.9, 0.1], [0.2]]},
+    }
+    config_path = tmp_path / "sweep.json"
+    config_path.write_text(json.dumps(config))
+    code, _, err = run_cli(capsys, "sweep", "--config", str(config_path))
+    assert code == 1
+    assert "mutation matrix row 1 must be a list of length 2" in err
+    assert "Traceback" not in err
+
+
 def test_sweep_non_string_output_path_exits_one(tmp_path, capsys):
     # an integer path would otherwise be opened as a file descriptor (2 is stderr)
     config = {"n": 2, "N": 8, "incentive": {"kind": "neutral"}, "mutation": {"mu": 0.1}}
@@ -308,19 +324,27 @@ def test_estimate_missing_file_exits_one(tmp_path, capsys):
     assert code == 1
 
 
-def test_exhausted_iteration_budget_exits_two(capsys):
+def test_exhausted_iteration_budget_exits_two(capsys, monkeypatch):
+    monkeypatch.setattr(stationary_module, "_MAX_ITERS", 1)
     code, _, err = run_cli(
         capsys,
         "entropy-rate", "--n", "3", "--N", "6", "--mu", "0.1",
         "--incentive", "fermi", "--beta", "1.0",
         "--landscape", "rsp", "--a", "1", "--b", "1",
-        "--max-iters", "1",
     )
     assert code == 2
     assert "numerical failure" in err
 
 
-@pytest.mark.parametrize("solver_flag", [("--tol", "-1"), ("--max-iters", "0")])
+def test_max_iters_flag_is_unknown(capsys):
+    code, _, err = run_cli(
+        capsys, "entropy-rate", "--n", "2", "--N", "8", "--mu", "0.1", "--max-iters", "5"
+    )
+    assert code == 1
+    assert "unrecognized arguments: --max-iters" in err
+
+
+@pytest.mark.parametrize("solver_flag", [("--tol", "-1")])
 @pytest.mark.parametrize(
     "process",
     [

@@ -107,16 +107,15 @@ def test_power_iteration_requires_irreducibility():
         solve_stationary(frozen)
 
 
-def test_power_iteration_budget():
+def test_power_iteration_budget(monkeypatch):
     kern = build_kernel(
         3, 6, Incentive.fermi(beta=1.0), rsp_landscape(1, 1), MutationModel.uniform(0.1)
     )
-    with pytest.raises(ConvergenceError):
-        solve_stationary(kern, max_iters=3)
     with pytest.raises(ValidationError):
         solve_stationary(kern, tol=-1.0)
-    with pytest.raises(ValidationError):
-        solve_stationary(kern, max_iters=0)
+    monkeypatch.setattr(stationary_module, "_MAX_ITERS", 3)
+    with pytest.raises(ConvergenceError, match="within 3 iterations"):
+        solve_stationary(kern)
 
 
 def rsp_kernel(N, mu):
@@ -178,15 +177,15 @@ def test_arnoldi_matches_direct_solve_and_is_deterministic():
     assert np.array_equal(dist.probabilities, again.probabilities)
 
 
-def test_arnoldi_budget(capsys, tmp_path):
-    with pytest.raises(ConvergenceError):
-        solve_stationary(game4_kernel(1 / 20), max_iters=1)
+def test_arnoldi_budget(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(stationary_module, "_MAX_ITERS", 1)
+    with pytest.raises(ConvergenceError, match="budget of 1 restarts"):
+        solve_stationary(game4_kernel(1 / 20))
     matrix_path = tmp_path / "game.json"
     matrix_path.write_text(json.dumps({"n": 4, "matrix": GAME4.tolist()}))
     code = main([
         "entropy-rate", "--n", "4", "--N", "20", "--mu", repr(1 / 20),
         "--incentive", "fermi", "--landscape", "custom", "--matrix-file", str(matrix_path),
-        "--max-iters", "1",
     ])
     assert code == 2
     assert "numerical failure" in capsys.readouterr().err

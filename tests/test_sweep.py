@@ -114,6 +114,34 @@ class TestEvaluateProcess:
         with pytest.raises(ReducibleChainError, match="recurrent classes"):
             evaluate_process(_config(mu=0.0))
 
+    def test_one_way_mutation_matrix_keeps_its_one_recurrent_class(self):
+        # type 1 never mutates and type 2 mutates into it: all-type-1 absorbs
+        config = ProcessConfig(
+            n=2,
+            N=8,
+            incentive=Incentive.fermi(beta=1.0),
+            mutation=MutationModel.from_matrix([[1.0, 0.0], [0.3, 0.7]]),
+            landscape=Landscape.moran(r=2.0),
+        )
+        result = evaluate_process(config)
+        assert result.kernel.num_states == 1
+        assert result.kernel.states.tolist() == [[8, 0]]
+        assert result.report.entropy_rate == 0.0
+
+    def test_mutation_matrix_with_two_recurrent_classes_is_refused(self):
+        config = ProcessConfig(
+            n=2,
+            N=8,
+            incentive=Incentive.fermi(beta=1.0),
+            mutation=MutationModel.from_matrix([[1.0, 0.0], [0.0, 1.0]]),
+            landscape=Landscape.moran(r=2.0),
+        )
+        with pytest.raises(
+            ReducibleChainError,
+            match=r"leaves 2 recurrent classes .*no unique stationary distribution",
+        ):
+            evaluate_process(config)
+
     def test_config_validation(self):
         with pytest.raises(ValidationError):
             _config(n=1, N=10)
@@ -362,7 +390,7 @@ class TestGridAndRows:
             axes=(SweepAxis("mu", (0.1, 0.2)),),
         )
 
-        def explode(config, tol, max_iters):
+        def explode(config, tol):
             raise NumericalConsistencyError("entropy rate exceeds its bound")
 
         monkeypatch.setattr(sweep_module, "evaluate_process", explode)
@@ -383,6 +411,14 @@ def rows():
 
 
 class TestWriters:
+    def test_csv_header_is_pinned(self):
+        buf = io.StringIO()
+        write_rows_csv([], buf)
+        assert buf.getvalue() == (
+            "n,N,mu,q,beta,landscape,param_a,param_b,r,k,"
+            "entropy_rate,bound,residual,method,error\n"
+        )
+
     def test_csv_shape(self, rows):
         buf = io.StringIO()
         write_rows_csv(rows, buf)
@@ -501,8 +537,18 @@ class TestSpecLoading:
             ("derived_mu", {"rule": "scaling_k", "k": "1"}, "derived_mu 'k' must be a number"),
             ("derived_mu", {"rule": "c_over_N", "c": True}, "derived_mu 'c' must be a number"),
             ("landscape", {"name": "rsp", "a": 1, "b": 1, "matrix": [[1, 2], [3, 4]]}, "'matrix'"),
+            ("mutation", {"matrix": [[0.9, 0.1], [0.2]]}, "mutation matrix row 1 must be a list"),
+            ("mutation", {"matrix": "abc"}, "mutation 'matrix' must be a non-empty list"),
+            ("mutation", {"matrix": [["0.9", 0.1], [0.2, 0.8]]},
+             r"mutation matrix entry \[0\]\[0\] must be a number"),
+            ("mutation", {"matrix": [[True, False], [0.2, 0.8]]},
+             r"mutation matrix entry \[0\]\[0\] must be a number"),
         ],
-        ids=["beta", "q", "mu", "axis_value", "k", "c", "matrix_on_named_landscape"],
+        ids=[
+            "beta", "q", "mu", "axis_value", "k", "c", "matrix_on_named_landscape",
+            "ragged_mutation_matrix", "string_mutation_matrix", "string_mutation_entry",
+            "bool_mutation_entry",
+        ],
     )
     def test_wrong_typed_fields_rejected(self, key, value, match):
         doc = self._doc()
