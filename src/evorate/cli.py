@@ -20,12 +20,13 @@ from .errors import (
     NumericalConsistencyError,
     ValidationError,
 )
-from .kernel import build_kernel, dump_kernel
+from .kernel import dump_kernel
 from .sampler import TrajectoryConfig, dump_trajectory, load_trajectory, sample_trajectory
-from .simplex import central_states, enumerate_states, num_states
+from .simplex import enumerate_states, num_states
 from .stationary import DEFAULT_TOL, export_stationary_csv
 from .sweep import (
     ProcessConfig,
+    _process_kernel,
     evaluate_process,
     load_sweep_spec_file,
     run_sweep,
@@ -131,17 +132,8 @@ def _cmd_states(args) -> int:
     return 0
 
 
-def _built_kernel(args):
-    config = _process_config(args)
-    game = config.landscape.build(config.n)
-    seeds = central_states(config.n, config.N) if args.reachable_from_center else None
-    return build_kernel(
-        config.n, config.N, config.incentive, game, config.mutation, reachable_from=seeds
-    )
-
-
 def _cmd_kernel(args) -> int:
-    kern = _built_kernel(args)
+    kern, _ = _process_kernel(_process_config(args))
     with _output(args.out) as fh:
         dump_kernel(kern, fh)
     return 0
@@ -178,7 +170,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    kern = _built_kernel(args)
+    kern, _ = _process_kernel(_process_config(args))
     start = None
     if args.start is not None:
         try:
@@ -218,11 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("kernel", help="dump the transition kernel as triplets")
     _add_process_args(sub)
-    sub.add_argument(
-        "--reachable-from-center",
-        action="store_true",
-        help="build only the states reachable from the center (needed when mu=0)",
-    )
     sub.add_argument("--out", help="output file (default stdout)")
     sub.set_defaults(func=_cmd_kernel)
 
@@ -246,11 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("sample", help="sample a trajectory of state indices")
     _add_process_args(sub)
-    sub.add_argument(
-        "--reachable-from-center",
-        action="store_true",
-        help="build only the states reachable from the center (needed when mu=0)",
-    )
     sub.add_argument("--length", type=int, required=True, help="number of states to sample")
     sub.add_argument("--seed", type=int, required=True, help="random seed")
     sub.add_argument("--start", help="start state as comma-separated counts (default: central)")

@@ -111,27 +111,35 @@ def dump_trajectory(trajectory: np.ndarray, fh, seed: int | None = None) -> None
     The seed, if given, is recorded in a '#' comment so a dumped file
     documents how to regenerate itself.
     """
+    body = "\n".join(map(str, np.asarray(trajectory, dtype=np.int64).tolist()))
     with _opened(fh, "w") as out:
         if seed is not None:
             out.write(f"# length={len(trajectory)} seed={seed} rng=pcg64\n")
-        for idx in trajectory:
-            out.write(f"{int(idx)}\n")
+        if body:
+            out.write(body + "\n")
 
 
 def load_trajectory(fh) -> np.ndarray:
-    """Read a trajectory written by dump_trajectory from a path or handle."""
-    values = []
+    """Read a trajectory written by dump_trajectory from a path or handle.
+
+    Blank lines and '#' comments are skipped, and numpy parses the rest
+    in one call.
+    """
     with _opened(fh, "r") as src:
-        for lineno, line in enumerate(src, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            try:
-                values.append(int(text))
-            except ValueError as exc:
-                raise ValidationError(
-                    f"line {lineno}: expected a state index, got {text!r}"
-                ) from exc
-    if not values:
+        lines = src.read().split("\n")
+    body = [text for text in map(str.strip, lines) if text and text[0] != "#"]
+    if not body:
         raise ValidationError("trajectory file contains no states")
-    return np.array(values, dtype=np.int64)
+    try:
+        return np.array(body, dtype=np.int64)
+    except (ValueError, OverflowError) as exc:
+        # Only a malformed file gets here; name its first bad line.
+        for lineno, text in enumerate(map(str.strip, lines), start=1):
+            if text and text[0] != "#":
+                try:
+                    np.array([text], dtype=np.int64)
+                except (ValueError, OverflowError):
+                    raise ValidationError(
+                        f"line {lineno}: expected a state index, got {text!r}"
+                    ) from exc
+        raise

@@ -14,7 +14,7 @@ rank 0 and (0, ..., 0, N) has rank C(N+n-1, n-1) - 1.
 
 import math
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -46,20 +46,16 @@ def _check_dims(n: int, N: int) -> None:
 
 @lru_cache(maxsize=32)
 def _states_cached(n: int, N: int) -> np.ndarray:
-    out = np.empty((math.comb(N + n - 1, n - 1), n), dtype=np.int64)
-    pos = 0
-    # Fill descending-lex: leading coordinate from N down to 0, recurse on the rest.
-    stack = [(N, n, ())]
-    while stack:
-        budget, parts, prefix = stack.pop()
-        if parts == 1:
-            out[pos, : len(prefix)] = prefix
-            out[pos, -1] = budget
-            pos += 1
-            continue
-        # Reversed push so larger leading values are emitted first.
-        for first in range(budget + 1):
-            stack.append((budget - first, parts - 1, prefix + (first,)))
+    # Stars and bars: N stars and n - 1 bars fill N + n - 1 slots, and the
+    # gaps between the bars are the counts.  Bar positions in ascending
+    # lex order give the states in ascending lex order; reverse them.
+    M = math.comb(N + n - 1, n - 1)
+    bars = np.fromiter(
+        chain.from_iterable(combinations(range(N + n - 1), n - 1)),
+        dtype=np.int64,
+        count=M * (n - 1),
+    ).reshape(M, n - 1)
+    out = np.diff(bars[::-1], axis=1, prepend=-1, append=N + n - 1) - 1
     out.flags.writeable = False
     return out
 

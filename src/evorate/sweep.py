@@ -2,30 +2,20 @@
 
 evaluate_process ties the pieces together for a single configuration:
 build the kernel, pick the cheapest valid stationary solver, and return
-the entropy-rate report.  Solver choice:
+the entropy-rate report.  The closed form applies to uniform mutation
+with an effectively neutral incentive, or at mu = (n-1)/n, where
+reproduction is uniform regardless of the incentive; two-type chains
+take the reversible product; the rest go to solve_stationary, whose
+routes and size thresholds are listed in stationary.py.
 
-  closed form        uniform mutation with an effectively neutral
-                     incentive, or mu = (n-1)/n where reproduction is
-                     uniform regardless of the incentive
-  reversible exact   two-type chains (birth-death, detailed balance)
-  power iteration    everything else, up to ARNOLDI_MIN_STATES states
-  sparse LU          three-type chains above that size, up to
-                     DIRECT_MAX_STATES states, where the LU factor
-                     fills in little
-  Arnoldi (ARPACK)   everything else above ARNOLDI_MIN_STATES states,
-                     where power iteration needs thousands of steps
-                     and the LU of four or more types fills in
-
-The closed-form and reversible routes come first, so two-type chains
-never reach Arnoldi however large they are.
-
-Uniform mutation at a positive rate makes the chain irreducible.
-Mutation rate zero, or a custom mutation matrix, can make parts of the
-lattice unreachable and leave the incentive undefined at the corners,
-so those processes are built on the set reachable from the central
-states and restricted to their recurrent class; if more than one class
-remains there is no unique stationary distribution and the point is
-reported as an error.
+Uniform mutation at a positive rate makes the chain irreducible, so the
+process lives on the whole lattice.  Mutation rate zero, or a custom
+mutation matrix, can make parts of the lattice unreachable and leave
+the incentive undefined at the corners, so those processes live on the
+set reachable from the central states (_process_kernel, which the CLI's
+kernel and sample commands share); evaluate_process then restricts them
+to their recurrent class, and if more than one class remains there is
+no unique stationary distribution and the point is reported as an error.
 
 A sweep varies up to two named parameters over grids, evaluates the
 points on a thread pool of one worker per CPU (at most 8, and no more
@@ -117,6 +107,22 @@ def _effectively_neutral(incentive: Incentive, landscape: Landscape, n: int) -> 
     return False
 
 
+def _process_kernel(config: ProcessConfig) -> tuple[TransitionKernel, bool]:
+    """The kernel on the states the process lives on, and whether it is irreducible.
+
+    That is the whole lattice under uniform mu > 0, and otherwise the
+    states reachable from the central states (see the module docstring).
+    """
+    n, N = config.n, config.N
+    mu = config.mutation.mu
+    irreducible = mu is not None and mu > 0.0
+    kern = build_kernel(
+        n, N, config.incentive, config.landscape.build(n), config.mutation,
+        reachable_from=None if irreducible else central_states(n, N),
+    )
+    return kern, irreducible
+
+
 def evaluate_process(config: ProcessConfig, tol: float = DEFAULT_TOL) -> ProcessResult:
     """Kernel, stationary distribution, and entropy rate for one process.
 
@@ -125,14 +131,9 @@ def evaluate_process(config: ProcessConfig, tol: float = DEFAULT_TOL) -> Process
     _check_tol(tol)
     n, N = config.n, config.N
     mu = config.mutation.mu
-    # Uniform mutation at a positive rate makes the chain irreducible.
-    # Otherwise build what the process can visit and keep its one class.
-    irreducible = mu is not None and mu > 0.0
-    kern = build_kernel(
-        n, N, config.incentive, config.landscape.build(n), config.mutation,
-        reachable_from=None if irreducible else central_states(n, N),
-    )
+    kern, irreducible = _process_kernel(config)
     if not irreducible:
+        # Keep the one recurrent class of what the process can visit.
         classes = recurrent_classes(kern)
         if len(classes) != 1:
             source = "the mutation matrix" if mu is None else "mutation rate 0"
@@ -245,6 +246,10 @@ class SweepSpec:
             raise ValidationError("population size N must be fixed or swept")
         if self.N is not None and "N" in names:
             raise ValidationError("N is both fixed and a sweep axis")
+        if self.N is not None and (
+            isinstance(self.N, bool) or not isinstance(self.N, (int, np.integer)) or self.N <= self.n
+        ):
+            raise ValidationError(f"'N' must be an integer greater than n={self.n}, got {self.N!r}")
         mu_sources = (
             ("mu" in names)
             + (self.mutation is not None)

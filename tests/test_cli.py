@@ -2,6 +2,8 @@ import csv
 import io
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,11 +13,22 @@ from evorate import (
     Landscape,
     MutationModel,
     ProcessConfig,
+    build_kernel,
+    central_states,
     evaluate_process,
     num_states,
 )
 from evorate import stationary as stationary_module
-from evorate.cli import main
+from evorate.cli import build_parser, main
+from evorate.kernel import dump_kernel
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+# Best-reply is undefined at some lattice corners; at mu = 0 it runs on
+# the three states reachable from (5, 5).
+BEST_REPLY_MU0 = (
+    "--n", "2", "--N", "10", "--mu", "0", "--incentive", "best-reply", "--landscape", "hawk-dove",
+)
 
 
 def run_cli(capsys, *argv):
@@ -107,6 +120,68 @@ def test_kernel_dump_rows_are_stochastic(capsys):
         row, _col, prob = line.split()
         sums[int(row)] += float(prob)
     assert np.allclose(sums, 1.0, atol=1e-12)
+
+
+def test_kernel_dump_at_positive_mu_covers_the_whole_lattice(capsys):
+    code, out, _ = run_cli(
+        capsys,
+        "kernel", "--n", "3", "--N", "8", "--mu", "0.05",
+        "--incentive", "fermi", "--landscape", "rsp", "--a", "2", "--b", "1",
+    )
+    assert code == 0
+    expected = io.StringIO()
+    kern = build_kernel(
+        3, 8, Incentive.fermi(beta=1.0), Landscape.rsp(a=2.0, b=1.0).build(3),
+        MutationModel.uniform(0.05),
+    )
+    dump_kernel(kern, expected)
+    assert kern.num_states == num_states(3, 8)
+    assert out == expected.getvalue()
+
+
+def test_kernel_at_mu_zero_covers_the_states_reachable_from_the_center(capsys):
+    code, out, err = run_cli(capsys, "kernel", *BEST_REPLY_MU0)
+    assert code == 0, err
+    assert out.splitlines()[0] == "2 10 3"
+
+
+def test_sample_at_mu_zero_starts_from_the_central_state(capsys):
+    code, out, err = run_cli(capsys, "sample", *BEST_REPLY_MU0, "--length", "4", "--seed", "0")
+    assert code == 0, err
+    kern = build_kernel(
+        2, 10, Incentive.best_reply(), Landscape.hawk_dove().build(2), MutationModel.uniform(0.0),
+        reachable_from=central_states(2, 10),
+    )
+    states = [line for line in out.splitlines() if not line.startswith("#")]
+    assert len(states) == 4
+    assert states[0] == str(kern.states.tolist().index([5, 5]))
+
+
+@pytest.mark.parametrize(
+    "command", [("kernel",), ("sample", "--length", "4", "--seed", "0")], ids=["kernel", "sample"]
+)
+def test_reachable_from_center_flag_is_unknown(capsys, command):
+    code, _, err = run_cli(capsys, *command, *BEST_REPLY_MU0, "--reachable-from-center")
+    assert code == 1
+    assert "unrecognized arguments: --reachable-from-center" in err
+
+
+def test_every_flag_named_in_readme_is_accepted():
+    subcommands = next(a for a in build_parser()._actions if a.dest == "command").choices
+    accepted = {
+        flag
+        for sub in subcommands.values()
+        for action in sub._actions
+        for flag in action.option_strings
+    }
+    named = {
+        flag
+        for line in README.read_text().splitlines()
+        if "pip install" not in line  # pip's own flags
+        for flag in re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", line)
+    }
+    assert {"--mu", "--matrix-file", "--trajectory"} <= named
+    assert sorted(named - accepted) == []
 
 
 def test_stationary_csv_matches_library(capsys):
@@ -239,6 +314,17 @@ def test_sweep_wrong_typed_number_exits_one(tmp_path, capsys):
     code, _, err = run_cli(capsys, "sweep", "--config", str(config_path))
     assert code == 1
     assert "must be a number" in err
+    assert "Traceback" not in err
+
+
+def test_sweep_fractional_fixed_N_exits_one(tmp_path, capsys):
+    config = {"n": 2, "N": 30.5, "incentive": {"kind": "neutral"}, "mutation": {"mu": 0.1}}
+    config_path = tmp_path / "sweep.json"
+    config_path.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, "sweep", "--config", str(config_path))
+    assert code == 1
+    assert out == ""
+    assert "'N' must be an integer greater than n=2" in err
     assert "Traceback" not in err
 
 

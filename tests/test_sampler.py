@@ -145,6 +145,26 @@ def test_dump_load_round_trip(tmp_path, kern):
     assert "seed=3" in text
 
 
+def test_dump_writes_exact_bytes(tmp_path):
+    out = tmp_path / "walk.txt"
+    dump_trajectory(np.array([3, 0, 12]), out, seed=5)
+    assert out.read_bytes() == b"# length=3 seed=5 rng=pcg64\n3\n0\n12\n"
+    dump_trajectory(np.array([7]), out)
+    assert out.read_bytes() == b"7\n"
+
+
+def test_load_skips_comments_and_blank_lines_and_counts_them(tmp_path):
+    walk = tmp_path / "walk.txt"
+    walk.write_text("# header\n\n 4 \n# note\n2\n\n")
+    assert load_trajectory(walk).tolist() == [4, 2]
+    walk.write_text("# header\n\n4\n# note\n2.5\n")
+    with pytest.raises(ValidationError, match=r"line 5: expected a state index, got '2\.5'"):
+        load_trajectory(walk)
+    walk.write_text("4\n99999999999999999999\n")  # beyond int64
+    with pytest.raises(ValidationError, match="line 2: expected a state index"):
+        load_trajectory(walk)
+
+
 def test_load_rejects_garbage(tmp_path):
     bad = tmp_path / "walk.txt"
     bad.write_text("0\n1\ntwo\n")

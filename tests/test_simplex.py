@@ -15,7 +15,7 @@ from evorate import (
     num_states,
     rank_states,
 )
-from evorate.simplex import rank_state, unrank_state, validate_state
+from evorate.simplex import _states_cached, rank_state, unrank_state, validate_state
 
 
 def test_num_states_matches_binomial():
@@ -34,7 +34,7 @@ def test_enumerate_three_types():
     assert S.tolist() == [[2, 0, 0], [1, 1, 0], [1, 0, 1], [0, 2, 0], [0, 1, 1], [0, 0, 2]]
 
 
-@pytest.mark.parametrize("n,N", [(2, 7), (3, 5), (4, 4), (5, 3)])
+@pytest.mark.parametrize("n,N", [(2, 7), (3, 5), (4, 4), (5, 3), (6, 4), (2, 1), (4, 1)])
 def test_enumerate_order_is_descending_lex(n, N):
     S = enumerate_states(n, N)
     assert len(S) == num_states(n, N)
@@ -42,6 +42,12 @@ def test_enumerate_order_is_descending_lex(n, N):
     assert (S.sum(axis=1) == N).all() and (S >= 0).all()
     for a, b in zip(S, S[1:]):
         assert tuple(a) > tuple(b)
+
+
+def test_cached_lattice_is_a_read_only_int64_c_array():
+    S = _states_cached(4, 6)
+    assert S.dtype == np.int64 and S.flags.c_contiguous and not S.flags.writeable
+    assert np.array_equal(S, enumerate_states(4, 6))
 
 
 def test_enumerate_returns_a_fresh_copy():

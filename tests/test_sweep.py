@@ -543,11 +543,15 @@ class TestSpecLoading:
              r"mutation matrix entry \[0\]\[0\] must be a number"),
             ("mutation", {"matrix": [[True, False], [0.2, 0.8]]},
              r"mutation matrix entry \[0\]\[0\] must be a number"),
+            ("N", "30", "'N' must be an integer greater than n=2"),
+            ("N", 30.5, "'N' must be an integer greater than n=2"),
+            ("N", True, "'N' must be an integer greater than n=2"),
+            ("N", 2, "'N' must be an integer greater than n=2"),
         ],
         ids=[
             "beta", "q", "mu", "axis_value", "k", "c", "matrix_on_named_landscape",
             "ragged_mutation_matrix", "string_mutation_matrix", "string_mutation_entry",
-            "bool_mutation_entry",
+            "bool_mutation_entry", "string_N", "fractional_N", "bool_N", "N_not_above_n",
         ],
     )
     def test_wrong_typed_fields_rejected(self, key, value, match):
