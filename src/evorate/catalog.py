@@ -23,6 +23,7 @@ from .dynamics import GameMatrix
 from .errors import ValidationError
 
 LANDSCAPE_NAMES = ("neutral", "moran", "hawk_dove", "zero_diag", "rsp", "custom")
+_LANDSCAPE_PARAMS = {"moran": ("r",), "rsp": ("a", "b"), "custom": ("matrix",)}
 
 
 def neutral_landscape(n: int) -> GameMatrix:
@@ -69,12 +70,17 @@ class Landscape:
             raise ValidationError(
                 f"unknown landscape {self.name!r}, expected one of {LANDSCAPE_NAMES}"
             )
-        if self.name == "moran" and self.r is None:
-            raise ValidationError("moran landscape requires a fitness parameter r")
-        if self.name == "rsp" and (self.a is None or self.b is None):
-            raise ValidationError("rsp landscape requires parameters a and b")
-        if self.name == "custom" and self.matrix is None:
-            raise ValidationError("custom landscape requires an explicit matrix")
+        uses = _LANDSCAPE_PARAMS.get(self.name, ())
+        for key in ("r", "a", "b", "matrix"):
+            given = getattr(self, key) is not None
+            if given and key not in uses:
+                raise ValidationError(f"the {self.name} landscape takes no parameter {key!r}")
+            if not given and key in uses:
+                raise ValidationError(f"the {self.name} landscape requires parameter {key!r}")
+        if self.name == "moran" and not (np.isfinite(self.r) and self.r > 0):
+            raise ValidationError(f"relative fitness r must be finite and positive, got {self.r}")
+        if self.name == "rsp" and not (np.isfinite(self.a) and np.isfinite(self.b)):
+            raise ValidationError(f"rsp parameters must be finite, got a={self.a}, b={self.b}")
 
     @classmethod
     def neutral(cls) -> "Landscape":

@@ -23,7 +23,7 @@ from .errors import (
 from .kernel import dump_kernel
 from .sampler import TrajectoryConfig, dump_trajectory, load_trajectory, sample_trajectory
 from .simplex import enumerate_states, num_states
-from .stationary import DEFAULT_TOL, export_stationary_csv
+from .stationary import export_stationary_csv
 from .sweep import (
     ProcessConfig,
     _process_kernel,
@@ -64,10 +64,6 @@ def _add_process_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--a", type=float, help="rsp win payoff")
     sub.add_argument("--b", type=float, help="rsp loss payoff")
     sub.add_argument("--matrix-file", help="JSON game matrix for --landscape custom")
-
-
-def _add_solver_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--tol", type=float, default=DEFAULT_TOL, help="solver residual tolerance")
 
 
 def _landscape_from_args(args) -> Landscape:
@@ -140,14 +136,14 @@ def _cmd_kernel(args) -> int:
 
 
 def _cmd_stationary(args) -> int:
-    result = evaluate_process(_process_config(args), tol=args.tol)
+    result = evaluate_process(_process_config(args))
     with _output(args.out) as fh:
         export_stationary_csv(result.kernel, result.stationary, fh)
     return 0
 
 
 def _cmd_entropy_rate(args) -> int:
-    result = evaluate_process(_process_config(args), tol=args.tol)
+    result = evaluate_process(_process_config(args))
     with _output(args.out) as fh:
         json.dump(result.report.to_json(), fh, indent=2)
         fh.write("\n")
@@ -156,7 +152,7 @@ def _cmd_entropy_rate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     spec = load_sweep_spec_file(args.config)
-    rows = run_sweep(spec, tol=args.tol)
+    rows = run_sweep(spec)
     path = args.out if args.out is not None else spec.output_path
     with _output(path) as fh:
         if spec.output_format == "json":
@@ -215,19 +211,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("stationary", help="stationary distribution as CSV")
     _add_process_args(sub)
-    _add_solver_args(sub)
     sub.add_argument("--out", help="output file (default stdout)")
     sub.set_defaults(func=_cmd_stationary)
 
     sub = commands.add_parser("entropy-rate", help="entropy rate report as JSON")
     _add_process_args(sub)
-    _add_solver_args(sub)
     sub.add_argument("--out", help="output file (default stdout)")
     sub.set_defaults(func=_cmd_entropy_rate)
 
     sub = commands.add_parser("sweep", help="run a parameter sweep from a JSON config")
     sub.add_argument("--config", required=True, help="sweep configuration file")
-    _add_solver_args(sub)
     sub.add_argument("--out", help="override the configured output path")
     sub.set_defaults(func=_cmd_sweep)
 

@@ -67,6 +67,10 @@ class Incentive:
             raise ValidationError(
                 f"unknown incentive kind {self.kind!r}, expected one of {INCENTIVE_KINDS}"
             )
+        if self.q is not None and self.kind not in ("replicator", "fermi"):
+            raise ValidationError(f"the {self.kind} incentive takes no exponent q, got q={self.q}")
+        if self.beta is not None and self.kind != "fermi":
+            raise ValidationError(f"the {self.kind} incentive takes no beta, got beta={self.beta}")
         if self.kind in ("replicator", "fermi"):
             if self.q is None:
                 object.__setattr__(self, "q", 1.0)

@@ -14,8 +14,10 @@ Five routes to the stationary vector s with s T = s:
   arnoldi       implicitly restarted Arnoldi (ARPACK) on T^T, for the
                 other chains above ARNOLDI_MIN_STATES states
 
-The one solver setting is the residual tolerance.  Power iteration and
-ARPACK give up with ConvergenceError after _MAX_ITERS steps or restarts.
+The solvers take no settings.  The three numerical routes accept a
+vector only at sup-norm residual max|sT - s| <= _TOL = 1e-12; power
+iteration and ARPACK raise ConvergenceError after _MAX_ITERS steps or
+restarts.
 
 Power iteration needs a number of mat-vecs that grows with the chain's
 mixing time: 8.6k-45k on the benchmark's chains of 5k-20k states.
@@ -66,7 +68,7 @@ from .errors import (
 from .kernel import TransitionKernel, is_irreducible, recurrent_classes
 from .simplex import _states_cached, num_states, rank_states
 
-DEFAULT_TOL = 1e-12
+_TOL = 1e-12  # sup-norm residual every numerical route must reach
 _MAX_ITERS = 1_000_000  # power-iteration steps, or ARPACK restarts
 ARNOLDI_MIN_STATES = 1_000  # chains with more states than this use Arnoldi or LU
 DIRECT_MAX_STATES = 10_000  # three-type chains up to this size use the LU
@@ -150,25 +152,18 @@ def stationary_residual(kernel: TransitionKernel, probabilities: np.ndarray) -> 
     return float(np.abs(s @ kernel.matrix - s).max())
 
 
-def _check_tol(tol: float) -> None:
-    """Raise ValidationError unless tol is positive."""
-    if not (np.isfinite(tol) and tol > 0):
-        raise ValidationError(f"tolerance must be positive, got {tol}")
-
-
-def solve_stationary(kernel: TransitionKernel, tol: float = DEFAULT_TOL) -> StationaryDistribution:
-    """Stationary vector of an irreducible kernel to sup-norm residual <= tol.
+def solve_stationary(kernel: TransitionKernel) -> StationaryDistribution:
+    """Stationary vector of an irreducible kernel to sup-norm residual <= _TOL (1e-12).
 
     Chains of at most ARNOLDI_MIN_STATES states use power iteration from
     the uniform vector; aperiodicity comes for free on the lattice
     because some state always keeps a self-loop.  Larger three-type
     lattice chains, up to DIRECT_MAX_STATES states, use a sparse LU
     solve.  The rest use ARPACK's Arnoldi solver on T^T.  Every route
-    measures the returned residual, and a solve that misses tol, or
+    measures the returned residual, and a solve that misses _TOL, or
     that runs out of _MAX_ITERS power steps or ARPACK restarts, raises
     ConvergenceError.
     """
-    _check_tol(tol)
     if not is_irreducible(kernel):
         k = len(recurrent_classes(kernel))
         raise ReducibleChainError(
@@ -178,26 +173,37 @@ def solve_stationary(kernel: TransitionKernel, tol: float = DEFAULT_TOL) -> Stat
     M = T.shape[0]
     if M > ARNOLDI_MIN_STATES:
         if kernel.is_lattice and kernel.n == 3 and M <= DIRECT_MAX_STATES:
-            return _direct_stationary(kernel, tol)
-        return _arnoldi_stationary(kernel, tol)
+            return _direct_stationary(kernel)
+        return _arnoldi_stationary(kernel)
     s = np.full(M, 1.0 / M)
     for iteration in range(1, _MAX_ITERS + 1):
         y = s @ T
         y /= y.sum()
-        close = bool(np.abs(y - s).max() <= tol)
+        close = bool(np.abs(y - s).max() <= _TOL)
         s = y
         if close:
             residual = stationary_residual(kernel, s)
-            if residual <= tol:
+            if residual <= _TOL:
                 return StationaryDistribution(
                     s, method="iterative", residual=residual, iterations=iteration
                 )
     raise ConvergenceError(
-        f"power iteration did not reach residual {tol} within {_MAX_ITERS} iterations"
+        f"power iteration did not reach residual {_TOL} within {_MAX_ITERS} iterations"
     )
 
 
-def _arnoldi_stationary(kernel: TransitionKernel, tol: float) -> StationaryDistribution:
+def _accept(kernel: TransitionKernel, s, method: str, route: str) -> StationaryDistribution:
+    """Normalize s >= 0 and return it if its residual is within _TOL, else raise."""
+    s /= s.sum()
+    residual = stationary_residual(kernel, s)
+    if not residual <= _TOL:  # also catches a NaN
+        raise ConvergenceError(
+            f"{route} stopped at residual {residual:.3e}, above the tolerance {_TOL}"
+        )
+    return StationaryDistribution(s, method=method, residual=residual)
+
+
+def _arnoldi_stationary(kernel: TransitionKernel) -> StationaryDistribution:
     """Left Perron vector of T by Arnoldi on the transpose view of T."""
     T = kernel.matrix
     M = T.shape[0]
@@ -205,23 +211,16 @@ def _arnoldi_stationary(kernel: TransitionKernel, tol: float) -> StationaryDistr
         # A fixed start vector keeps the result deterministic; ARPACK's
         # default one is random.  ArpackNoConvergence is an ArpackError.
         _, vectors = eigs(
-            T.T, k=1, which="LM", v0=np.full(M, 1.0 / M), tol=tol, maxiter=_MAX_ITERS
+            T.T, k=1, which="LM", v0=np.full(M, 1.0 / M), tol=_TOL, maxiter=_MAX_ITERS
         )
     except ArpackError as exc:
         raise ConvergenceError(
             f"Arnoldi failed with a budget of {_MAX_ITERS} restarts: {exc}"
         ) from exc
-    s = np.abs(vectors[:, 0].real)
-    s /= s.sum()
-    residual = stationary_residual(kernel, s)
-    if not residual <= tol:  # also catches a NaN
-        raise ConvergenceError(
-            f"Arnoldi stopped at residual {residual:.3e}, above the tolerance {tol}"
-        )
-    return StationaryDistribution(s, method="arnoldi", residual=residual)
+    return _accept(kernel, np.abs(vectors[:, 0].real), "arnoldi", "Arnoldi")
 
 
-def _direct_stationary(kernel: TransitionKernel, tol: float) -> StationaryDistribution:
+def _direct_stationary(kernel: TransitionKernel) -> StationaryDistribution:
     """Stationary vector by SuperLU on s (I - T) = 0 with one entry pinned to 1.
 
     Pinning state p replaces equation p of (I - T)^T s = 0 with s_p = 1.
@@ -243,14 +242,7 @@ def _direct_stationary(kernel: TransitionKernel, tol: float) -> StationaryDistri
         if abs(x[top]) <= _REPIN_RATIO:
             break
         pin = top
-    s = np.maximum(x, 0.0)
-    s /= s.sum()
-    residual = stationary_residual(kernel, s)
-    if not residual <= tol:  # also catches a NaN from a failed solve
-        raise ConvergenceError(
-            f"sparse LU stopped at residual {residual:.3e}, above the tolerance {tol}"
-        )
-    return StationaryDistribution(s, method="direct", residual=residual)
+    return _accept(kernel, np.maximum(x, 0.0), "direct", "sparse LU")
 
 
 def _pinned_solve(C, pin: int) -> np.ndarray:

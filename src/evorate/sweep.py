@@ -54,9 +54,7 @@ from .kernel import (
 )
 from .simplex import central_states
 from .stationary import (
-    DEFAULT_TOL,
     StationaryDistribution,
-    _check_tol,
     neutral_stationary,
     reversible_stationary,
     solve_stationary,
@@ -123,12 +121,8 @@ def _process_kernel(config: ProcessConfig) -> tuple[TransitionKernel, bool]:
     return kern, irreducible
 
 
-def evaluate_process(config: ProcessConfig, tol: float = DEFAULT_TOL) -> ProcessResult:
-    """Kernel, stationary distribution, and entropy rate for one process.
-
-    tol is checked here, whichever solver the process ends up needing.
-    """
-    _check_tol(tol)
+def evaluate_process(config: ProcessConfig) -> ProcessResult:
+    """Kernel, stationary distribution, and entropy rate for one process."""
     n, N = config.n, config.N
     mu = config.mutation.mu
     kern, irreducible = _process_kernel(config)
@@ -156,7 +150,7 @@ def evaluate_process(config: ProcessConfig, tol: float = DEFAULT_TOL) -> Process
         with contextlib.suppress(NotReversibleError):
             dist = reversible_stationary(kern)
     if dist is None:
-        dist = solve_stationary(kern, tol=tol)
+        dist = solve_stationary(kern)
 
     report = entropy_rate(kern, dist)
     return ProcessResult(kernel=kern, stationary=dist, report=report)
@@ -189,15 +183,24 @@ class DerivedMu:
     rule: str
     k: float | None = None
     c: float | None = None
-    base: str = "N+1"
+    base: str | None = None
 
     def __post_init__(self):
-        if self.rule not in ("scaling_k", "c_over_N"):
+        uses = {"scaling_k": ("k", "base"), "c_over_N": ("c",)}.get(self.rule)
+        if uses is None:
             raise ValidationError(f"unknown derived_mu rule {self.rule!r}")
-        if self.base not in ("N+1", "N"):
+        if self.base not in (None, "N+1", "N"):
             raise ValidationError(f"derived_mu base must be 'N+1' or 'N', got {self.base!r}")
+        for key in ("k", "c", "base"):
+            value = getattr(self, key)
+            if value is not None and key not in uses:
+                raise ValidationError(f"derived_mu rule {self.rule!r} takes no {key!r}")
+            if key != "base" and value is not None and not (np.isfinite(value) and value >= 0):
+                raise ValidationError(f"derived_mu {key!r} must be finite and >= 0, got {value}")
         if self.rule == "c_over_N" and self.c is None:
             object.__setattr__(self, "c", 1.0)
+        if self.rule == "scaling_k" and self.base is None:
+            object.__setattr__(self, "base", "N+1")
 
     def mu_at(self, n: int, N: int, k: float | None) -> float:
         if self.rule == "c_over_N":
@@ -330,7 +333,7 @@ def _point_config(spec: SweepSpec, params: dict) -> tuple[ProcessConfig, float |
     return ProcessConfig(spec.n, N, inc, mutation, land), mu, k
 
 
-def _evaluate_point(spec: SweepSpec, params: dict, tol: float) -> SweepRow:
+def _evaluate_point(spec: SweepSpec, params: dict) -> SweepRow:
     base = {"n": spec.n, "N": spec.N, "landscape": spec.landscape.name}
     try:
         config, mu, k = _point_config(spec, params)
@@ -344,7 +347,7 @@ def _evaluate_point(spec: SweepSpec, params: dict, tol: float) -> SweepRow:
             r=config.landscape.r,
             k=k,
         )
-        result = evaluate_process(config, tol=tol)
+        result = evaluate_process(config)
         report = result.report
         return SweepRow(
             **base,
@@ -371,7 +374,7 @@ def worker_count() -> int:
     return min(os.cpu_count() or 1, 8)
 
 
-def run_sweep(spec: SweepSpec, tol: float = DEFAULT_TOL) -> list[SweepRow]:
+def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """Evaluate every grid point on a thread pool; rows come in grid order.
 
     Per-point failures are recorded in the row's error column; an
@@ -379,7 +382,7 @@ def run_sweep(spec: SweepSpec, tol: float = DEFAULT_TOL) -> list[SweepRow]:
     """
     points = sweep_points(spec)
     with ThreadPoolExecutor(max_workers=min(worker_count(), len(points))) as pool:
-        return list(pool.map(lambda p: _evaluate_point(spec, p, tol), points))
+        return list(pool.map(lambda p: _evaluate_point(spec, p), points))
 
 
 def _cell(value) -> str:
@@ -458,7 +461,7 @@ def load_sweep_spec(doc) -> SweepSpec:
         if unknown:
             raise ValidationError(f"derived_mu has unknown keys {sorted(unknown)}")
         params = {key: _as_float(d[key], f"derived_mu {key!r}") for key in ("k", "c") if key in d}
-        derived = DerivedMu(str(d["rule"]), base=d.get("base", "N+1"), **params)
+        derived = DerivedMu(str(d["rule"]), base=d.get("base"), **params)
 
     output_path = None
     output_format = "csv"

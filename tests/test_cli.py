@@ -328,6 +328,23 @@ def test_sweep_fractional_fixed_N_exits_one(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_sweep_negative_fixed_fitness_exits_one(tmp_path, capsys):
+    config = {
+        "n": 2,
+        "N": 8,
+        "incentive": {"kind": "fermi", "beta": 1.0},
+        "landscape": {"name": "moran", "r": -2},
+        "axes": [{"name": "mu", "values": [0.1, 0.2]}],
+    }
+    config_path = tmp_path / "sweep.json"
+    config_path.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, "sweep", "--config", str(config_path))
+    assert code == 1
+    assert out == ""
+    assert "relative fitness r must be finite and positive" in err
+    assert "Traceback" not in err
+
+
 def test_sweep_ragged_mutation_matrix_exits_one(tmp_path, capsys):
     config = {
         "n": 2,
@@ -430,20 +447,19 @@ def test_max_iters_flag_is_unknown(capsys):
     assert "unrecognized arguments: --max-iters" in err
 
 
-@pytest.mark.parametrize("solver_flag", [("--tol", "-1")])
 @pytest.mark.parametrize(
-    "process",
+    "argv",
     [
-        ("--n", "2", "--N", "10", "--mu", "0.1"),  # closed form
-        ("--n", "2", "--N", "10", "--mu", "0.1",
-         "--incentive", "fermi", "--landscape", "moran", "--r", "2"),  # reversible
+        ("stationary", "--n", "2", "--N", "8", "--mu", "0.1"),
+        ("entropy-rate", "--n", "2", "--N", "8", "--mu", "0.1"),
+        ("sweep", "--config", "sweep.json"),
     ],
-    ids=["closed_form", "reversible"],
+    ids=["stationary", "entropy-rate", "sweep"],
 )
-def test_bad_solver_settings_exit_one_on_every_route(capsys, process, solver_flag):
-    code, _, err = run_cli(capsys, "entropy-rate", *process, *solver_flag)
+def test_tol_flag_is_unknown(capsys, argv):
+    code, _, err = run_cli(capsys, *argv, "--tol", "1e-10")
     assert code == 1
-    assert "must be positive" in err
+    assert "unrecognized arguments: --tol" in err
 
 
 def test_output_file_flag(tmp_path, capsys):

@@ -1,8 +1,20 @@
-"""The package exports a small, fixed surface; the rest lives in modules."""
+"""The package exports a small, fixed surface, the rest lives in modules, and the
+documented examples run."""
 
+import contextlib
+import doctest
+import inspect
+import io
+import math
+import re
 import types
+from pathlib import Path
+
+import pytest
 
 import evorate
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 TYPES = {
     "GameMatrix", "Incentive", "Landscape", "MutationModel", "ProcessConfig",
@@ -28,3 +40,29 @@ def test_package_exports_exactly_the_public_api():
     }
     assert exported == TYPES | ERRORS | FUNCTIONS
     assert len(exported) == 37
+
+
+@pytest.mark.parametrize(
+    "function,parameters",
+    [
+        (evorate.solve_stationary, ["kernel"]),
+        (evorate.evaluate_process, ["config"]),
+        (evorate.run_sweep, ["spec"]),
+    ],
+)
+def test_solver_entry_points_take_no_settings(function, parameters):
+    assert list(inspect.signature(function).parameters) == parameters
+
+
+def test_package_docstring_and_readme_library_example_run():
+    assert doctest.testmod(evorate) == (0, 3)  # failed, attempted: the docstring's 1.155
+    block = re.search(r"## Library\n\n```python\n(.*?)```", README.read_text(), re.S).group(1)
+    comments = re.findall(r"# (.*)", block)
+    assert comments == ["1.1523...", "(5/3) log 3", '"iterative"']
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(block, {})
+    rate, bound, method = out.getvalue().splitlines()
+    assert rate.startswith("1.1523")
+    assert float(bound) == pytest.approx(5 / 3 * math.log(3), rel=1e-12)
+    assert method == "iterative"

@@ -111,8 +111,6 @@ def test_power_iteration_budget(monkeypatch):
     kern = build_kernel(
         3, 6, Incentive.fermi(beta=1.0), rsp_landscape(1, 1), MutationModel.uniform(0.1)
     )
-    with pytest.raises(ValidationError):
-        solve_stationary(kern, tol=-1.0)
     monkeypatch.setattr(stationary_module, "_MAX_ITERS", 3)
     with pytest.raises(ConvergenceError, match="within 3 iterations"):
         solve_stationary(kern)
@@ -270,6 +268,24 @@ def test_direct_repins_away_from_a_massless_centre():
 def test_direct_route_requires_irreducibility():
     with pytest.raises(ReducibleChainError):
         solve_stationary(neutral_kernel(3, 60, 0.0))
+
+
+def test_direct_residual_above_tolerance_is_a_convergence_error(monkeypatch):
+    kern = rsp_kernel(45, 1 / 45)
+    assert kern.num_states == 1081
+    assert solve_stationary(kern).method == "direct"
+    monkeypatch.setattr(stationary_module, "_TOL", 1e-30)
+    with pytest.raises(ConvergenceError, match="sparse LU stopped at residual"):
+        solve_stationary(kern)
+
+
+def test_singular_factor_is_a_convergence_error(monkeypatch):
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(stationary_module, "splu", singular)
+    with pytest.raises(ConvergenceError, match="sparse LU failed"):
+        solve_stationary(rsp_kernel(45, 1 / 45))
 
 
 def test_direct_route_size_cap(monkeypatch):

@@ -390,7 +390,7 @@ class TestGridAndRows:
             axes=(SweepAxis("mu", (0.1, 0.2)),),
         )
 
-        def explode(config, tol):
+        def explode(config):
             raise NumericalConsistencyError("entropy rate exceeds its bound")
 
         monkeypatch.setattr(sweep_module, "evaluate_process", explode)
@@ -547,11 +547,27 @@ class TestSpecLoading:
             ("N", 30.5, "'N' must be an integer greater than n=2"),
             ("N", True, "'N' must be an integer greater than n=2"),
             ("N", 2, "'N' must be an integer greater than n=2"),
+            ("incentive", {"kind": "neutral", "q": -5, "beta": -3}, "takes no exponent q"),
+            ("incentive", {"kind": "replicator", "beta": 1}, "takes no beta"),
+            ("landscape", {"name": "moran", "r": -2}, "r must be finite and positive"),
+            ("landscape", {"name": "moran", "r": math.nan}, "r must be finite and positive"),
+            ("landscape", {"name": "rsp", "a": 1, "b": math.nan}, "rsp parameters must be finite"),
+            ("landscape", {"name": "hawk_dove", "r": 2}, "takes no parameter 'r'"),
+            ("landscape", {"name": "moran", "r": 2, "a": 1}, "takes no parameter 'a'"),
+            ("derived_mu", {"rule": "scaling_k", "k": -1}, "'k' must be finite and >= 0"),
+            ("derived_mu", {"rule": "scaling_k", "k": math.nan}, "'k' must be finite and >= 0"),
+            ("derived_mu", {"rule": "c_over_N", "c": -2}, "'c' must be finite and >= 0"),
+            ("derived_mu", {"rule": "c_over_N", "k": 1}, "takes no 'k'"),
+            ("derived_mu", {"rule": "scaling_k", "k": 1, "c": 1}, "takes no 'c'"),
+            ("derived_mu", {"rule": "c_over_N", "base": "N"}, "takes no 'base'"),
         ],
         ids=[
             "beta", "q", "mu", "axis_value", "k", "c", "matrix_on_named_landscape",
             "ragged_mutation_matrix", "string_mutation_matrix", "string_mutation_entry",
             "bool_mutation_entry", "string_N", "fractional_N", "bool_N", "N_not_above_n",
+            "q_beta_on_neutral", "beta_on_replicator", "negative_r", "nan_r", "nan_b",
+            "r_on_hawk_dove", "a_on_moran", "negative_k", "nan_k", "negative_c",
+            "k_on_c_over_N", "c_on_scaling_k", "base_on_c_over_N",
         ],
     )
     def test_wrong_typed_fields_rejected(self, key, value, match):
