@@ -52,8 +52,8 @@ def _add_process_args(sub: argparse.ArgumentParser) -> None:
         choices=["neutral", "replicator", "fermi", "best-reply"],
         help="incentive family (default neutral)",
     )
-    sub.add_argument("--q", type=float, default=1.0, help="fraction exponent (default 1)")
-    sub.add_argument("--beta", type=float, default=1.0, help="fermi selection strength (default 1)")
+    sub.add_argument("--q", type=float, help="replicator and fermi fraction exponent (default 1)")
+    sub.add_argument("--beta", type=float, help="fermi selection strength (default 1)")
     sub.add_argument(
         "--landscape",
         default="neutral",
@@ -66,34 +66,37 @@ def _add_process_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--matrix-file", help="JSON game matrix for --landscape custom")
 
 
+def _given(args, keys) -> dict:
+    """The flags among `keys` that the user gave, by name."""
+    return {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
+
+
 def _landscape_from_args(args) -> Landscape:
+    # Every given parameter goes to Landscape, which refuses the ones
+    # the landscape does not take.
     name = args.landscape.replace("-", "_")
+    params = _given(args, ("r", "a", "b"))
+    if name == "moran" and "r" not in params:
+        raise ValidationError("--landscape moran requires --r")
+    if name == "rsp" and not {"a", "b"} <= set(params):
+        raise ValidationError("--landscape rsp requires --a and --b")
     if name == "custom":
         if not args.matrix_file:
             raise ValidationError("--landscape custom requires --matrix-file")
-        return Landscape.custom(load_game_matrix(args.matrix_file))
-    params = {}
-    if name == "moran":
-        if args.r is None:
-            raise ValidationError("--landscape moran requires --r")
-        params["r"] = args.r
-    if name == "rsp":
-        if args.a is None or args.b is None:
-            raise ValidationError("--landscape rsp requires --a and --b")
-        params["a"] = args.a
-        params["b"] = args.b
+        params["matrix"] = load_game_matrix(args.matrix_file)
+    elif args.matrix_file is not None:
+        raise ValidationError(f"--matrix-file needs --landscape custom, got {args.landscape}")
     return Landscape(name, **params)
 
 
 def _incentive_from_args(args) -> Incentive:
+    # Incentive refuses a --q or --beta its kind does not use and fills
+    # in q = 1; the documented fermi default beta = 1 is filled in here.
     kind = args.incentive.replace("-", "_")
+    params = _given(args, ("q", "beta"))
     if kind == "fermi":
-        return Incentive.fermi(beta=args.beta, q=args.q)
-    if kind == "replicator":
-        return Incentive.replicator(q=args.q)
-    if kind == "best_reply":
-        return Incentive.best_reply()
-    return Incentive.neutral()
+        params.setdefault("beta", 1.0)
+    return Incentive(kind, **params)
 
 
 def _process_config(args) -> ProcessConfig:

@@ -19,9 +19,22 @@ with mutation rate zero are analyzed, where parts of the lattice are
 never visited and the full-lattice incentive may be undefined at the
 corners.  The mutation matrix is applied per state, so a state-dependent
 mutation model would only need a hook in _reproduction_batch.
+
+A full-lattice kernel also records its type symmetries: the
+permutations sigma of the types that leave both the game entries and
+the mutation matrix unchanged, A[sigma][:, sigma] == A.  Every
+incentive kind treats the types alike, so then T(sigma a, sigma b) =
+T(a, b), and the chain is exactly lumpable onto the orbits of states
+under the group (Kemeny & Snell, Finite Markov Chains, 1960).
+_orbit_kernel builds that lumped chain; the stationary solvers use it
+on large chains.  The group is searched over all n! permutations for
+n <= 6 and is the identity alone for more types, for kernels built on
+a reachable subset, and for restricted and raw kernels.
 """
 
+import itertools
 from dataclasses import dataclass
+from functools import lru_cache, reduce
 
 import numpy as np
 from scipy import sparse
@@ -37,6 +50,7 @@ from .simplex import _check_dims, _states_cached, num_states, rank_states, valid
 
 _ROWSUM_TOL = 1e-12
 _CLOSURE_TOL = 1e-9
+_MAX_SYMMETRY_TYPES = 6  # 720 permutations; beyond this only the identity is tried
 
 
 @dataclass(frozen=True)
@@ -45,12 +59,20 @@ class TransitionKernel:
 
     `states` holds the population state of each row; it is None for raw
     kernels injected from outside the lattice construction.
+    `symmetries` holds the type permutations (one per row, identity
+    first) under which the chain is invariant; by default only the
+    identity of range(n), or of no types for a raw kernel.
     """
 
     matrix: sparse.csr_array
     n: int | None = None
     N: int | None = None
     states: np.ndarray | None = None
+    symmetries: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.symmetries is None:
+            object.__setattr__(self, "symmetries", _type_permutations(self.n or 0)[0][:1])
 
     @property
     def num_states(self) -> int:
@@ -186,7 +208,9 @@ def build_kernel(
         S = _states_cached(n, N)
         P = _reproduction_batch(S, N, incentive, game, Q)
         T = _assemble(S, N, P, None)
-        return TransitionKernel(matrix=T, n=n, N=N, states=S)
+        return TransitionKernel(
+            matrix=T, n=n, N=N, states=S, symmetries=_type_symmetries(game, Q)
+        )
 
     seeds = np.atleast_2d(np.asarray(reachable_from, dtype=np.int64))
     for seed in seeds:
@@ -197,6 +221,51 @@ def build_kernel(
     P = _reproduction_batch(S, N, incentive, game, Q)
     T = _assemble(S, N, P, rank_of)
     return TransitionKernel(matrix=T, n=n, N=N, states=S)
+
+
+@lru_cache(maxsize=None)
+def _type_permutations(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Permutations sigma of range(n) as rows, identity first, with the flat
+    indices of A[sigma][:, sigma] into A.ravel(); the identity alone for n > 6."""
+    if n > _MAX_SYMMETRY_TYPES:
+        perms = np.arange(n)[None, :]
+    else:
+        perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+    flat = (perms[:, :, None] * n + perms[:, None, :]).reshape(len(perms), n * n)
+    perms.flags.writeable = flat.flags.writeable = False
+    return perms, flat
+
+
+def _type_symmetries(game: GameMatrix | None, Q: np.ndarray) -> np.ndarray:
+    """The permutations sigma with A[sigma][:, sigma] == A exactly, for the game and Q."""
+    perms, flat = _type_permutations(Q.shape[0])
+    keep = (Q.ravel()[flat] == Q.ravel()).all(axis=1)
+    if game is not None:
+        entries = game.entries.ravel()
+        keep &= (entries[flat] == entries).all(axis=1)
+    return perms[keep]
+
+
+def _orbit_kernel(kernel: TransitionKernel) -> tuple[TransitionKernel, np.ndarray]:
+    """The chain lumped onto the orbits of its type symmetries, and each row's orbit.
+
+    The kernel must be a full-lattice one, whose rows are in rank order.
+    Each state is labelled by the lowest rank of its images S[:, sigma],
+    which is the row of its orbit's representative; the group is closed
+    under inverses, so the direction of sigma does not matter.  Orbit
+    kernel rows are the representatives' rows summed over each target
+    orbit, T[reps] @ P with P the 0/1 orbit indicator; that is exact
+    because T(sigma a, sigma b) = T(a, b) gives every member of an orbit
+    the same mass into each orbit.
+    """
+    S, n, N = kernel.states, kernel.n, kernel.N
+    labels = reduce(np.minimum, (rank_states(S[:, perm], n, N) for perm in kernel.symmetries))
+    reps, orbit = np.unique(labels, return_inverse=True)
+    M, K = len(S), len(reps)
+    P = sparse.csr_array((np.ones(M), (np.arange(M), orbit)), shape=(M, K))
+    T = kernel.matrix[reps] @ P
+    T.sort_indices()
+    return TransitionKernel(matrix=T, n=n, N=N, states=S[reps]), orbit
 
 
 def _reachable_states(

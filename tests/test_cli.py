@@ -422,6 +422,29 @@ def test_moran_requires_r(capsys):
     assert "--r" in err
 
 
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (
+            ("--landscape", "neutral", "--r", "-2", "--a", "nan", "--q", "-5", "--beta", "-3"),
+            "takes no exponent q",
+        ),
+        (("--incentive", "neutral", "--beta", "2"), "takes no beta"),
+        (("--incentive", "replicator", "--beta", "2"), "takes no beta"),
+        (("--landscape", "hawk-dove", "--r", "2"), "takes no parameter 'r'"),
+        (("--landscape", "moran", "--r", "2", "--a", "1"), "takes no parameter 'a'"),
+        (("--landscape", "moran", "--r", "2", "--matrix-file", "game.json"), "--landscape custom"),
+    ],
+    ids=["all-unused", "neutral-beta", "replicator-beta", "hawk-dove-r", "moran-a", "matrix-file"],
+)
+def test_process_flags_the_kind_does_not_use_exit_one(capsys, flags, message):
+    code, out, err = run_cli(capsys, "entropy-rate", "--n", "2", "--N", "8", "--mu", "0.1", *flags)
+    assert code == 1
+    assert message in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
 def test_estimate_missing_file_exits_one(tmp_path, capsys):
     code, _, err = run_cli(capsys, "estimate", "--trajectory", str(tmp_path / "none.txt"))
     assert code == 1

@@ -328,6 +328,46 @@ def test_raw_kernel_reducibility():
     assert len(recurrent_classes(raw_kernel(np.eye(3)))) == 3
 
 
+def test_rsp_symmetries_are_the_cyclic_group():
+    kern = build_kernel(
+        3, 10, Incentive.fermi(beta=1.0), rsp_landscape(2, 1), MutationModel.uniform(0.1)
+    )
+    assert kern.symmetries.tolist() == [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+
+
+def test_symmetries_need_both_the_game_and_the_mutation_matrix():
+    # Any type permutation fixes the neutral game and uniform mutation.
+    neutral = build_kernel(4, 6, Incentive.neutral(), None, MutationModel.uniform(0.1))
+    assert len(neutral.symmetries) == 24
+    Q = np.full((3, 3), 0.05) + 0.85 * np.eye(3)
+    Q[0] = [0.8, 0.15, 0.05]
+    skewed = build_kernel(
+        3, 10, Incentive.fermi(beta=1.0), rsp_landscape(1, 1), MutationModel.from_matrix(Q)
+    )
+    assert skewed.symmetries.tolist() == [[0, 1, 2]]
+
+
+def test_near_symmetric_game_has_only_the_identity():
+    A = rsp_landscape(1, 1).entries.copy()
+    A[0, 1] += 1e-12
+    kern = build_kernel(
+        3, 10, Incentive.fermi(beta=1.0), GameMatrix(A), MutationModel.uniform(0.1)
+    )
+    assert kern.symmetries.tolist() == [[0, 1, 2]]
+
+
+def test_reachable_restricted_and_raw_kernels_carry_only_the_identity():
+    incentive, game = Incentive.fermi(beta=1.0), rsp_landscape(1, 1)
+    mutation = MutationModel.uniform(0.1)
+    assert len(build_kernel(3, 10, incentive, game, mutation).symmetries) == 3
+    reachable = build_kernel(3, 10, incentive, game, mutation, reachable_from=central_states(3, 10))
+    assert reachable.symmetries.tolist() == [[0, 1, 2]]
+    frozen = build_kernel(3, 6, Incentive.neutral(), None, MutationModel.uniform(0.0))
+    assert len(frozen.symmetries) == 6
+    assert restrict_to_states(frozen, [0]).symmetries.tolist() == [[0, 1, 2]]
+    assert raw_kernel(np.eye(2)).symmetries.shape == (1, 0)
+
+
 def test_dump_kernel_round_trips():
     kern = build_kernel(2, 5, Incentive.neutral(), None, MutationModel.uniform(0.3))
     buf = io.StringIO()

@@ -27,7 +27,9 @@ from evorate import (
 from evorate import stationary as stationary_module
 from evorate.catalog import moran_landscape, rsp_landscape
 from evorate.cli import main
-from evorate.kernel import raw_kernel
+from evorate.entropy import entropy_rate
+from evorate.kernel import _orbit_kernel, raw_kernel
+from evorate.simplex import num_states, rank_states
 from evorate.stationary import (
     ARNOLDI_MIN_STATES,
     DIRECT_MAX_STATES,
@@ -35,6 +37,7 @@ from evorate.stationary import (
     export_stationary_csv,
     stationary_residual,
 )
+from gth import gth_exact, gth_stationary
 
 
 def neutral_kernel(n, N, mu):
@@ -203,28 +206,6 @@ def test_arnoldi_route_requires_irreducibility():
         solve_stationary(neutral_kernel(4, 20, 0.0))
 
 
-def gth_stationary(T):
-    """Dense GTH elimination (Grassmann, Taksar & Heyman 1985), restricted to the band.
-
-    Elimination without pivoting keeps the fill inside the kernel's
-    bandwidth, so skipping the entries outside it changes no result.
-    """
-    coo = T.tocoo()
-    band = int(np.abs(coo.row - coo.col).max())
-    P = T.toarray()
-    M = len(P)
-    for k in range(M - 1, 0, -1):
-        lo = max(0, k - band)
-        P[lo:k, k] /= P[k, lo:k].sum()
-        P[lo:k, lo:k] += np.outer(P[lo:k, k], P[k, lo:k])
-    s = np.zeros(M)
-    s[0] = 1.0
-    for k in range(1, M):
-        lo = max(0, k - band)
-        s[k] = s[lo:k] @ P[lo:k, k]
-    return s / s.sum()
-
-
 def game3_kernel(entries, N, beta, q, mu):
     return build_kernel(
         3, N, Incentive.fermi(beta=beta, q=q), GameMatrix(np.array(entries, dtype=float)),
@@ -289,8 +270,12 @@ def test_singular_factor_is_a_convergence_error(monkeypatch):
 
 
 def test_direct_route_size_cap(monkeypatch):
-    monkeypatch.setattr(stationary_module, "DIRECT_MAX_STATES", 1890)
-    assert solve_stationary(rsp_kernel(60, 1 / 60)).method == "arnoldi"
+    # The cap reads the size of the chain that is solved: 631 orbits here.
+    kern = rsp_kernel(60, 1 / 60)
+    monkeypatch.setattr(stationary_module, "DIRECT_MAX_STATES", 631)
+    assert solve_stationary(kern).method == "direct"
+    monkeypatch.setattr(stationary_module, "DIRECT_MAX_STATES", 630)
+    assert solve_stationary(kern).method == "arnoldi"
 
 
 def test_three_type_chain_where_arnoldi_is_silently_wrong():
@@ -301,6 +286,89 @@ def test_three_type_chain_where_arnoldi_is_silently_wrong():
     assert kern.num_states == 1431
     dist = solve_stationary(kern)
     assert np.abs(dist.probabilities - gth_stationary(kern.matrix)).sum() <= 1e-10
+
+
+def test_gth_helper_matches_exact_rational_gth():
+    kern = build_kernel(
+        3, 6, Incentive.fermi(beta=1.0), rsp_landscape(2, 1), MutationModel.uniform(0.01)
+    )
+    assert kern.num_states == 28
+    exact = np.array([float(x) for x in gth_exact(kern.matrix)])
+    assert np.abs(gth_stationary(kern.matrix) / exact - 1.0).max() <= 1e-14
+
+
+def coordination_kernel(N):
+    """Fermi beta=1, mu=0.01 on the coordination game diag(2, 2, 2): all of S3 fixes it."""
+    return build_kernel(
+        3, N, Incentive.fermi(beta=1.0), GameMatrix(2.0 * np.eye(3)), MutationModel.uniform(0.01)
+    )
+
+
+def test_coordination_game_matches_gth():
+    # The LU of the whole chain was 6.6e-8 off here; the lumped one is not.
+    kern = coordination_kernel(44)
+    assert kern.num_states == 1035 and len(kern.symmetries) == 6
+    dist = solve_stationary(kern)
+    assert dist.method == "direct"
+    assert np.abs(dist.probabilities - gth_stationary(kern.matrix)).sum() <= 1e-12
+
+
+@pytest.mark.parametrize("N", [60, 111])
+def test_coordination_game_vector_is_symmetric(N):
+    # At N=111 the LU of the whole chain put all the corners' mass on one corner.
+    kern = coordination_kernel(N)
+    s = solve_stationary(kern).probabilities
+    for perm in kern.symmetries:
+        assert np.abs(s[rank_states(kern.states[:, perm], 3, N)] - s).max() <= 1e-15
+
+
+def test_lumped_rsp_matches_the_whole_chain_lu():
+    kern = rsp_kernel(100, 1 / 100)
+    assert kern.num_states == 5151
+    assert _orbit_kernel(kern)[0].num_states == 1717
+    dist = solve_stationary(kern)
+    assert dist.method == "direct"
+    full = stationary_module._direct_stationary(kern)
+    assert np.abs(dist.probabilities - full / full.sum()).sum() <= 1e-12
+
+
+@pytest.mark.parametrize("N", [44, 45, 60, 100])
+def test_orbit_counts_follow_burnside(N):
+    # Burnside: orbits = mean number of states each group element fixes.
+    # A 3-cycle fixes only the centre, which exists when 3 | N; a
+    # transposition of two types fixes the floor(N/2) + 1 states where
+    # their counts agree.
+    M, centre = num_states(3, N), int(N % 3 == 0)
+    cyclic = _orbit_kernel(rsp_kernel(N, 1 / N))[0]
+    assert cyclic.num_states == (M + 2 * centre) // 3
+    full = _orbit_kernel(coordination_kernel(N))[0]
+    assert full.num_states == (M + 3 * (N // 2 + 1) + 2 * centre) // 6
+
+
+def test_circulant_four_type_game_on_orbits():
+    c = [0.0, 2.0, -1.0, 1.0]
+    A = np.array([[c[(j - i) % 4] for j in range(4)] for i in range(4)])
+    kern = build_kernel(
+        4, 30, Incentive.fermi(beta=1.0), GameMatrix(A), MutationModel.uniform(0.02)
+    )
+    assert kern.num_states == 5456 and len(kern.symmetries) == 4
+    assert _orbit_kernel(kern)[0].num_states >= 5456 // 4
+    dist = solve_stationary(kern)
+    assert dist.method == "arnoldi"
+    full = stationary_module._direct_stationary(kern)
+    assert np.abs(dist.probabilities - full / full.sum()).sum() <= 1e-9
+
+
+def test_rsp_n200_is_solved_by_the_lu_on_its_orbits():
+    config = ProcessConfig(
+        3, 200, Incentive.fermi(beta=1.0), MutationModel.uniform(1 / 200), Landscape.rsp(a=1, b=1)
+    )
+    result = evaluate_process(config)
+    assert result.stationary.method == "direct"
+    assert result.stationary.residual <= 1e-12
+    full = stationary_module._direct_stationary(result.kernel)
+    full_rate = entropy_rate(result.kernel, StationaryDistribution(full / full.sum(), "direct"))
+    assert abs(result.report.entropy_rate - full_rate.entropy_rate) <= 1e-12
 
 
 def test_reversible_matches_closed_form_exactly_enough():
