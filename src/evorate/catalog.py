@@ -1,13 +1,15 @@
 """Named payoff landscapes and JSON (de)serialization of game matrices.
 
-The landscapes that recur throughout the analysis:
+One table, _LANDSCAPES, says what each named landscape is: the number of
+types it fixes (None if any n works), the parameters it takes, and its
+payoffs for n types:
 
   neutral     all payoffs equal (any n)
   moran       [[r, r], [1, 1]]: constant fitness r for the first type
   hawk_dove   [[1, 2], [2, 1]]: coordination on mixing
   zero_diag   [[0, 1], [1, 0]]
   rsp         rock-scissors-paper [[0, -b, a], [a, 0, -b], [-b, a, 0]]
-  custom      any user-supplied square matrix
+  custom      any user-supplied square matrix (its size fixes n)
 
 A Landscape is a lightweight description (name plus parameters) that
 builds a GameMatrix on demand; sweeps carry the description so output
@@ -22,37 +24,18 @@ import numpy as np
 from .dynamics import GameMatrix
 from .errors import ValidationError
 
-LANDSCAPE_NAMES = ("neutral", "moran", "hawk_dove", "zero_diag", "rsp", "custom")
-_LANDSCAPE_PARAMS = {"moran": ("r",), "rsp": ("a", "b"), "custom": ("matrix",)}
-
-
-def neutral_landscape(n: int) -> GameMatrix:
-    """All-ones payoffs: every type has fitness 1 at every state."""
-    if n < 2:
-        raise ValidationError(f"need at least two types, got n={n}")
-    return GameMatrix(np.ones((n, n)))
-
-
-def moran_landscape(r: float) -> GameMatrix:
-    """Constant fitness r versus 1, the classical two-type selection setup."""
-    if not np.isfinite(r) or r <= 0:
-        raise ValidationError(f"relative fitness r must be positive, got {r}")
-    return GameMatrix([[r, r], [1.0, 1.0]])
-
-
-def hawk_dove_landscape() -> GameMatrix:
-    return GameMatrix([[1.0, 2.0], [2.0, 1.0]])
-
-
-def zero_diagonal_landscape() -> GameMatrix:
-    return GameMatrix([[0.0, 1.0], [1.0, 0.0]])
-
-
-def rsp_landscape(a: float, b: float) -> GameMatrix:
-    """Cyclic rock-scissors-paper payoffs with win value a and loss value -b."""
-    if not (np.isfinite(a) and np.isfinite(b)):
-        raise ValidationError(f"rsp parameters must be finite, got a={a}, b={b}")
-    return GameMatrix([[0.0, -b, a], [a, 0.0, -b], [-b, a, 0.0]])
+# name -> (number of types or None, parameters, payoffs(landscape, n))
+_LANDSCAPES = {
+    "neutral": (None, (), lambda land, n: np.ones((n, n))),
+    "moran": (2, ("r",), lambda land, n: [[land.r, land.r], [1.0, 1.0]]),
+    "hawk_dove": (2, (), lambda land, n: [[1.0, 2.0], [2.0, 1.0]]),
+    "zero_diag": (2, (), lambda land, n: [[0.0, 1.0], [1.0, 0.0]]),
+    "rsp": (3, ("a", "b"), lambda land, n: [
+        [0.0, -land.b, land.a], [land.a, 0.0, -land.b], [-land.b, land.a, 0.0],
+    ]),
+    "custom": (None, ("matrix",), lambda land, n: land.matrix.entries),
+}
+LANDSCAPE_NAMES = tuple(_LANDSCAPES)
 
 
 @dataclass(frozen=True)
@@ -70,7 +53,7 @@ class Landscape:
             raise ValidationError(
                 f"unknown landscape {self.name!r}, expected one of {LANDSCAPE_NAMES}"
             )
-        uses = _LANDSCAPE_PARAMS.get(self.name, ())
+        uses = _LANDSCAPES[self.name][1]
         for key in ("r", "a", "b", "matrix"):
             given = getattr(self, key) is not None
             if given and key not in uses:
@@ -109,30 +92,16 @@ class Landscape:
 
     def required_n(self) -> int | None:
         """The number of types this landscape fixes, or None if flexible."""
-        if self.name in ("moran", "hawk_dove", "zero_diag"):
-            return 2
-        if self.name == "rsp":
-            return 3
-        if self.name == "custom":
-            return self.matrix.n
-        return None
+        return self.matrix.n if self.matrix is not None else _LANDSCAPES[self.name][0]
 
     def build(self, n: int) -> GameMatrix:
         """Materialize the payoff matrix for an n-type process."""
+        if n < 2:
+            raise ValidationError(f"need at least two types, got n={n}")
         need = self.required_n()
         if need is not None and need != n:
             raise ValidationError(f"landscape {self.name!r} requires n={need}, got n={n}")
-        if self.name == "neutral":
-            return neutral_landscape(n)
-        if self.name == "moran":
-            return moran_landscape(self.r)
-        if self.name == "hawk_dove":
-            return hawk_dove_landscape()
-        if self.name == "zero_diag":
-            return zero_diagonal_landscape()
-        if self.name == "rsp":
-            return rsp_landscape(self.a, self.b)
-        return self.matrix
+        return GameMatrix(_LANDSCAPES[self.name][2](self, n))
 
 
 def landscape_from_json(doc) -> Landscape:

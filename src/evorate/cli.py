@@ -73,13 +73,9 @@ def _given(args, keys) -> dict:
 
 def _landscape_from_args(args) -> Landscape:
     # Every given parameter goes to Landscape, which refuses the ones
-    # the landscape does not take.
+    # the landscape does not take and asks for the ones it is missing.
     name = args.landscape.replace("-", "_")
     params = _given(args, ("r", "a", "b"))
-    if name == "moran" and "r" not in params:
-        raise ValidationError("--landscape moran requires --r")
-    if name == "rsp" and not {"a", "b"} <= set(params):
-        raise ValidationError("--landscape rsp requires --a and --b")
     if name == "custom":
         if not args.matrix_file:
             raise ValidationError("--landscape custom requires --matrix-file")

@@ -37,6 +37,8 @@ class TrajectoryConfig:
             raise ValidationError(f"length must be a positive integer, got {self.length!r}")
         if isinstance(self.seed, bool) or not isinstance(self.seed, integer) or self.seed < 0:
             raise ValidationError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        if isinstance(self.start, bool):
+            raise ValidationError(f"start must be a row index or a state, got {self.start!r}")
 
 
 def _resolve_start(kernel: TransitionKernel, start) -> int:

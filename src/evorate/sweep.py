@@ -21,9 +21,11 @@ A sweep varies up to two named parameters over grids, evaluates the
 points on a thread pool of one worker per CPU (at most 8, and no more
 than there are points), whose workers take turns at the sparse LU so
 that only one factor is in memory, and emits rows with a fixed column
-set; any per-point failure lands in the row's error column rather than
-aborting, except entropy-rate bound violations, which indicate an
-implementation problem and abort the run.
+set.  A bad value anywhere in the grid refuses the whole spec before
+anything runs; a point that fails to evaluate (a reducible chain, an
+ill-defined incentive, a solver that does not converge) lands in the
+row's error column rather than aborting, except entropy-rate bound
+violations, which indicate an implementation problem and abort the run.
 """
 
 import contextlib
@@ -80,6 +82,9 @@ class ProcessConfig:
             raise ValidationError(
                 f"population must exceed the number of types, got n={self.n}, N={self.N!r}"
             )
+        # Both raise ValidationError unless the game and the mutation matrix have n types.
+        self.landscape.build(self.n)
+        self.mutation.matrix(self.n)
 
 
 @dataclass(frozen=True)
@@ -213,7 +218,10 @@ class DerivedMu:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """A sweep: a base configuration plus up to two value grids."""
+    """A sweep: a base configuration plus up to two value grids.
+
+    Making a spec makes every grid point's ProcessConfig, so a bad value anywhere refuses it.
+    """
 
     n: int
     incentive: Incentive
@@ -234,15 +242,8 @@ class SweepSpec:
         if len(set(names)) != len(names):
             raise ValidationError(f"duplicate sweep axes: {names}")
         for axis in self.axes:
-            values = np.array(axis.values)
-            if axis.name == "mu" and ((values < 0) | (values > 1)).any():
-                raise ValidationError("'mu' axis values must lie in [0, 1]")
-            if axis.name == "N" and ((values != np.rint(values)) | (values <= self.n)).any():
-                raise ValidationError(f"'N' axis values must be integers greater than n={self.n}")
-            if axis.name in ("q", "beta", "k") and (values < 0).any():
-                raise ValidationError(f"{axis.name!r} axis values must be nonnegative")
-            if axis.name == "r" and (values <= 0).any():
-                raise ValidationError("'r' axis values must be positive")
+            if axis.name == "N" and any(v != round(v) for v in axis.values):
+                raise ValidationError(f"'N' axis values must be integers, got {axis.values}")
         if self.output_format not in ("csv", "json"):
             raise ValidationError(f"output format must be 'csv' or 'json', got {self.output_format!r}")
         if self.N is None and "N" not in names:
@@ -271,15 +272,8 @@ class SweepSpec:
         if self.derived_mu is not None and self.derived_mu.rule == "scaling_k":
             if self.derived_mu.k is None and "k" not in names:
                 raise ValidationError("scaling_k rule needs k fixed or swept")
-        for name in names:
-            if name == "beta" and self.incentive.kind != "fermi":
-                raise ValidationError("a 'beta' axis requires the fermi incentive")
-            if name == "q" and self.incentive.kind not in ("fermi", "replicator"):
-                raise ValidationError("a 'q' axis requires the fermi or replicator incentive")
-            if name == "r" and self.landscape.name != "moran":
-                raise ValidationError("an 'r' axis requires the moran landscape")
-            if name in ("a", "b") and self.landscape.name != "rsp":
-                raise ValidationError(f"an '{name}' axis requires the rsp landscape")
+        for params in sweep_points(self):
+            _point_config(self, params)
 
 
 @dataclass(frozen=True)
@@ -309,57 +303,52 @@ class SweepRow:
 CSV_COLUMNS = tuple(field.name for field in fields(SweepRow))
 
 
-def _point_config(spec: SweepSpec, params: dict) -> tuple[ProcessConfig, float | None, float | None]:
-    """Materialize one grid point: config plus the (mu, k) used there."""
+def _point_config(spec: SweepSpec, params: dict) -> tuple[ProcessConfig, float | None]:
+    """Materialize one grid point: config plus the k used there."""
     N = int(params["N"]) if "N" in params else spec.N
 
     inc = replace(spec.incentive, **{key: params[key] for key in ("q", "beta") if key in params})
     land = replace(spec.landscape, **{key: params[key] for key in ("r", "a", "b") if key in params})
+    derived = spec.derived_mu
+    if "k" in params:
+        derived = replace(derived, k=params["k"])
+    k = derived.k if derived is not None else None
 
-    k = None
-    if spec.derived_mu is not None and spec.derived_mu.rule == "scaling_k":
-        k = params.get("k", spec.derived_mu.k)
-
+    mutation = spec.mutation
     if "mu" in params:
-        mu = params["mu"]
-        mutation = MutationModel.uniform(mu)
-    elif spec.derived_mu is not None:
-        mu = spec.derived_mu.mu_at(spec.n, N, k)
-        mutation = MutationModel.uniform(mu)
-    else:
-        mutation = spec.mutation
-        mu = mutation.mu
-
-    return ProcessConfig(spec.n, N, inc, mutation, land), mu, k
+        mutation = MutationModel.uniform(params["mu"])
+    elif derived is not None:
+        mutation = MutationModel.uniform(derived.mu_at(spec.n, N, k))
+    return ProcessConfig(spec.n, N, inc, mutation, land), k
 
 
 def _evaluate_point(spec: SweepSpec, params: dict) -> SweepRow:
-    base = {"n": spec.n, "N": spec.N, "landscape": spec.landscape.name}
+    config, k = _point_config(spec, params)
+    base = SweepRow(
+        n=config.n,
+        N=config.N,
+        mu=config.mutation.mu,
+        q=config.incentive.q,
+        beta=config.incentive.beta,
+        landscape=config.landscape.name,
+        param_a=config.landscape.a,
+        param_b=config.landscape.b,
+        r=config.landscape.r,
+        k=k,
+    )
     try:
-        config, mu, k = _point_config(spec, params)
-        base.update(
-            N=config.N,
-            mu=mu,
-            q=config.incentive.q,
-            beta=config.incentive.beta,
-            param_a=config.landscape.a,
-            param_b=config.landscape.b,
-            r=config.landscape.r,
-            k=k,
-        )
         result = evaluate_process(config)
-        report = result.report
-        return SweepRow(
-            **base,
-            entropy_rate=report.entropy_rate,
-            bound=report.bound,
-            residual=result.stationary.residual,
-            method=result.stationary.method,
-        )
     except NumericalConsistencyError:
         raise
     except EvorateError as exc:
-        return SweepRow(**base, error=str(exc))
+        return replace(base, error=str(exc))
+    return replace(
+        base,
+        entropy_rate=result.report.entropy_rate,
+        bound=result.report.bound,
+        residual=result.stationary.residual,
+        method=result.stationary.method,
+    )
 
 
 def sweep_points(spec: SweepSpec) -> list[dict]:
@@ -377,7 +366,7 @@ def worker_count() -> int:
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """Evaluate every grid point on a thread pool; rows come in grid order.
 
-    Per-point failures are recorded in the row's error column; an
+    Evaluation failures are recorded in the row's error column; an
     entropy-rate bound violation aborts the whole sweep.
     """
     points = sweep_points(spec)
@@ -422,12 +411,10 @@ def incentive_from_json(doc) -> Incentive:
 def mutation_from_json(doc) -> MutationModel:
     if not isinstance(doc, dict):
         raise ValidationError(f"mutation must be an object, got {type(doc).__name__}")
-    if ("mu" in doc) == ("matrix" in doc):
-        raise ValidationError("mutation needs exactly one of 'mu' or 'matrix'")
-    if "mu" in doc:
-        return MutationModel.uniform(_as_float(doc["mu"], "mutation 'mu'"))
-    _check_square_rows(doc["matrix"], "mutation ")
-    return MutationModel.from_matrix(doc["matrix"])
+    if "matrix" in doc:
+        _check_square_rows(doc["matrix"], "mutation ")
+    mu = _as_float(doc["mu"], "mutation 'mu'") if "mu" in doc else None
+    return MutationModel(mu=mu, custom=doc.get("matrix"))
 
 
 def load_sweep_spec(doc) -> SweepSpec:

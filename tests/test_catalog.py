@@ -6,29 +6,24 @@ from evorate import Landscape, ValidationError
 from evorate.catalog import (
     game_matrix_from_json,
     game_matrix_to_json,
-    hawk_dove_landscape,
     landscape_from_json,
     load_game_matrix,
-    moran_landscape,
-    neutral_landscape,
-    rsp_landscape,
-    zero_diagonal_landscape,
 )
 
 
 def test_catalog_matrices():
-    assert moran_landscape(2).entries.tolist() == [[2, 2], [1, 1]]
-    assert hawk_dove_landscape().entries.tolist() == [[1, 2], [2, 1]]
-    assert zero_diagonal_landscape().entries.tolist() == [[0, 1], [1, 0]]
-    assert rsp_landscape(1, 1).entries.tolist() == [[0, -1, 1], [1, 0, -1], [-1, 1, 0]]
-    assert neutral_landscape(4).entries.tolist() == [[1] * 4] * 4
+    assert Landscape.moran(2).build(2).entries.tolist() == [[2, 2], [1, 1]]
+    assert Landscape.hawk_dove().build(2).entries.tolist() == [[1, 2], [2, 1]]
+    assert Landscape.zero_diag().build(2).entries.tolist() == [[0, 1], [1, 0]]
+    assert Landscape.rsp(1, 1).build(3).entries.tolist() == [[0, -1, 1], [1, 0, -1], [-1, 1, 0]]
+    assert Landscape.neutral().build(4).entries.tolist() == [[1] * 4] * 4
 
 
 def test_moran_requires_positive_r():
-    with pytest.raises(ValidationError):
-        moran_landscape(0)
-    with pytest.raises(ValidationError):
-        moran_landscape(-2)
+    with pytest.raises(ValidationError, match="r must be finite and positive, got 0"):
+        Landscape.moran(0)
+    with pytest.raises(ValidationError, match="r must be finite and positive, got -2"):
+        Landscape.moran(-2)
 
 
 def test_landscape_build_and_n_requirements():
@@ -62,7 +57,7 @@ def test_custom_landscape():
 
 
 def test_game_matrix_json_round_trip():
-    game = rsp_landscape(1.5, 0.5)
+    game = Landscape.rsp(1.5, 0.5).build(3)
     doc = game_matrix_to_json(game)
     assert doc["n"] == 3
     again = game_matrix_from_json(doc)

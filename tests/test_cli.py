@@ -3,6 +3,7 @@ import io
 import json
 import math
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -13,9 +14,11 @@ from evorate import (
     Landscape,
     MutationModel,
     ProcessConfig,
+    ValidationError,
     build_kernel,
     central_states,
     evaluate_process,
+    load_sweep_spec,
     num_states,
 )
 from evorate import stationary as stationary_module
@@ -182,6 +185,30 @@ def test_every_flag_named_in_readme_is_accepted():
     }
     assert {"--mu", "--matrix-file", "--trajectory"} <= named
     assert sorted(named - accepted) == []
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
+    text = README.read_text()
+    block = re.search(r"## CLI\n\n```sh\n(.*?)```", text, re.S).group(1)
+    sweep = re.search(r"## Sweep configs\n\n```json\n(.*?)```", text, re.S).group(1)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sweep.json").write_text(sweep)
+    commands = []  # [argv, the JSON comment on the line or the next one]
+    for line in block.splitlines():
+        command, _, comment = (part.strip() for part in line.partition("#"))
+        if command.startswith("evorate "):
+            commands.append([shlex.split(command)[1:], comment])
+        elif comment.startswith("{"):
+            commands[-1][1] = comment
+    assert len(commands) == 8
+    for argv, comment in commands:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, (argv, err)
+        if argv == ["states", "--n", "3", "--N", "30"]:
+            assert json.loads(out) == json.loads(comment)
+        elif comment.startswith("{"):
+            assert set(re.findall(r'"(\w+)":', comment)) <= set(json.loads(out)), argv
+    assert (tmp_path / "beta_sweep.csv").exists()
 
 
 def test_stationary_csv_matches_library(capsys):
@@ -372,6 +399,105 @@ def test_sweep_non_string_output_path_exits_one(tmp_path, capsys):
     assert out == ""
 
 
+SWEEP_BASE = {"n": 2, "N": 8, "incentive": {"kind": "fermi", "beta": 1.0}, "mutation": {"mu": 0.1}}
+
+
+@pytest.mark.parametrize(
+    "fields,message",
+    [
+        ({"landscape": {"name": "rsp", "a": 1, "b": 1}}, "landscape 'rsp' requires n=3, got n=2"),
+        (
+            {"n": 3, "mutation": {"matrix": [[0.9, 0.1], [0.2, 0.8]]}},
+            "mutation matrix is 2x2, process has n=3 types",
+        ),
+        (
+            {
+                "landscape": {"name": "moran", "r": 2},
+                "derived_mu": {"rule": "c_over_N", "c": 20},
+                "axes": [{"name": "N", "values": [10, 30]}],
+            },
+            "mutation rate must lie in [0, 1], got 2.0",  # at N=10; N=30 gives 2/3
+        ),
+    ],
+    ids=["rsp-game-for-two-types", "two-type-mutation-matrix-for-three", "derived-mu-above-one"],
+)
+def test_sweep_description_error_anywhere_in_the_grid_exits_one(tmp_path, capsys, fields, message):
+    config = {**SWEEP_BASE, **fields}
+    if "derived_mu" in config:
+        del config["N"], config["mutation"]
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        load_sweep_spec(config)
+    config_path = tmp_path / "sweep.json"
+    config_path.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, "sweep", "--config", str(config_path))
+    assert code == 1
+    assert out == ""
+    assert message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "construct,fixed,axis,flags,message",
+    [
+        (
+            lambda: Landscape.moran(r=-2.0),
+            {"landscape": {"name": "moran", "r": -2}},
+            {"landscape": {"name": "moran", "r": 2}, "axes": [{"name": "r", "values": [-2]}]},
+            ("--landscape", "moran", "--r", "-2"),
+            "relative fitness r must be finite and positive",
+        ),
+        (
+            lambda: Landscape.rsp(a=1.0, b=math.nan),
+            {"n": 3, "landscape": {"name": "rsp", "a": 1, "b": math.nan}},
+            None,  # SweepAxis refuses every non-finite value itself
+            ("--n", "3", "--landscape", "rsp", "--a", "1", "--b", "nan"),
+            "rsp parameters must be finite",
+        ),
+        (
+            lambda: Incentive("neutral", beta=1.0),
+            {"incentive": {"kind": "neutral", "beta": 1}},
+            {"incentive": {"kind": "neutral"}, "axes": [{"name": "beta", "values": [1]}]},
+            ("--incentive", "neutral", "--beta", "1"),
+            "the neutral incentive takes no beta",
+        ),
+        (
+            lambda: Incentive("best_reply", q=1.0),
+            {"incentive": {"kind": "best-reply", "q": 1}},
+            {"incentive": {"kind": "best-reply"}, "axes": [{"name": "q", "values": [1]}]},
+            ("--incentive", "best-reply", "--q", "1"),
+            "the best_reply incentive takes no exponent q",
+        ),
+        (
+            lambda: Landscape("moran"),
+            {"landscape": {"name": "moran"}},
+            None,  # an 'r' axis cannot rescue a landscape that is refused without it
+            ("--landscape", "moran"),
+            "the moran landscape requires parameter 'r'",
+        ),
+        (
+            lambda: Incentive.fermi(beta=-0.5),
+            {"incentive": {"kind": "fermi", "beta": -0.5}},
+            {"axes": [{"name": "beta", "values": [1.0, -0.5]}]},
+            ("--incentive", "fermi", "--beta", "-0.5"),
+            "beta must be finite and >= 0",
+        ),
+    ],
+    ids=["moran-negative-r", "rsp-nan-b", "beta-on-neutral", "q-on-best-reply", "moran-without-r",
+         "negative-beta"],
+)
+def test_one_bad_description_one_message(capsys, construct, fixed, axis, flags, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        construct()
+    for fields in (fixed, axis):
+        if fields is not None:
+            with pytest.raises(ValidationError, match=re.escape(message)):
+                load_sweep_spec({**SWEEP_BASE, **fields})
+    code, out, err = run_cli(capsys, "entropy-rate", "--N", "8", "--mu", "0.1", *flags)
+    assert code == 1
+    assert out == ""
+    assert message in err
+
+
 def test_sweep_missing_config_exits_one(tmp_path, capsys):
     code, _, err = run_cli(capsys, "sweep", "--config", str(tmp_path / "none.json"))
     assert code == 1
@@ -419,7 +545,7 @@ def test_moran_requires_r(capsys):
         "entropy-rate", "--n", "2", "--N", "8", "--mu", "0.1", "--landscape", "moran",
     )
     assert code == 1
-    assert "--r" in err
+    assert "the moran landscape requires parameter 'r'" in err
 
 
 @pytest.mark.parametrize(

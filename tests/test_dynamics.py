@@ -5,11 +5,11 @@ from evorate import (
     GameMatrix,
     IllDefinedIncentiveError,
     Incentive,
+    Landscape,
     MutationModel,
     ValidationError,
     build_kernel,
 )
-from evorate.catalog import hawk_dove_landscape, moran_landscape, neutral_landscape, rsp_landscape
 from evorate.dynamics import incentive_values_batch
 from evorate.simplex import rank_state
 
@@ -37,11 +37,11 @@ def test_game_matrix_is_read_only():
 
 def test_fitness_values():
     # Linear fitness f(x) = A @ x.
-    assert (neutral_landscape(3).entries @ [0.2, 0.3, 0.5]).tolist() == [1, 1, 1]
-    assert (moran_landscape(2).entries @ [0.7, 0.3]).tolist() == [2, 1]
+    assert (Landscape.neutral().build(3).entries @ [0.2, 0.3, 0.5]).tolist() == [1, 1, 1]
+    assert (Landscape.moran(2).build(2).entries @ [0.7, 0.3]).tolist() == [2, 1]
     third = [1 / 3, 1 / 3, 1 / 3]
-    assert (rsp_landscape(1, 1).entries @ third).tolist() == [0, 0, 0]
-    hd = hawk_dove_landscape().entries @ [0.5, 0.5]
+    assert (Landscape.rsp(1, 1).build(3).entries @ third).tolist() == [0, 0, 0]
+    hd = Landscape.hawk_dove().build(2).entries @ [0.5, 0.5]
     assert hd.tolist() == [1.5, 1.5]
 
 
@@ -92,23 +92,23 @@ def test_neutral_incentive_is_the_fractions():
 
 def test_replicator_matches_neutral_on_constant_landscape():
     x = np.array([0.3, 0.2, 0.5])
-    phi = incentive_values(Incentive.replicator(q=1), neutral_landscape(3), x)
+    phi = incentive_values(Incentive.replicator(q=1), Landscape.neutral().build(3), x)
     assert phi.tolist() == x.tolist()
 
 
 def test_replicator_zero_power_convention():
     # q=0 gives weight to absent types: phi = f
-    phi = incentive_values(Incentive.replicator(q=0), moran_landscape(2), [1.0, 0.0])
+    phi = incentive_values(Incentive.replicator(q=0), Landscape.moran(2).build(2), [1.0, 0.0])
     assert phi.tolist() == [2.0, 1.0]
 
 
 def test_replicator_rejects_negative_fitness():
     with pytest.raises(IllDefinedIncentiveError):
-        incentive_values(Incentive.replicator(q=1), rsp_landscape(1, 1), [0.5, 0.0, 0.5])
+        incentive_values(Incentive.replicator(q=1), Landscape.rsp(1, 1).build(3), [0.5, 0.0, 0.5])
 
 
 def test_fermi_is_normalized_and_shift_invariant():
-    game = hawk_dove_landscape()
+    game = Landscape.hawk_dove().build(2)
     shifted = GameMatrix(game.entries + 7.0)
     x = np.array([0.6, 0.4])
     a = incentive_values(Incentive.fermi(beta=1.3), game, x)
@@ -119,18 +119,18 @@ def test_fermi_is_normalized_and_shift_invariant():
 
 def test_fermi_weak_selection_is_neutral():
     x = np.array([0.6, 0.4])
-    phi = incentive_values(Incentive.fermi(beta=0.0), moran_landscape(2), x)
+    phi = incentive_values(Incentive.fermi(beta=0.0), Landscape.moran(2).build(2), x)
     assert phi.tolist() == x.tolist()
 
 
 def test_fermi_survives_huge_beta():
-    phi = incentive_values(Incentive.fermi(beta=1e4), moran_landscape(2), [0.5, 0.5])
+    phi = incentive_values(Incentive.fermi(beta=1e4), Landscape.moran(2).build(2), [0.5, 0.5])
     assert np.isfinite(phi).all()
     assert abs(phi.sum() - 1.0) < 1e-12
 
 
 def test_best_reply_picks_the_fitter_type():
-    game = hawk_dove_landscape()
+    game = Landscape.hawk_dove().build(2)
     inc = Incentive.best_reply()
     assert incentive_values(inc, game, [0.75, 0.25]).tolist() == [0.0, 0.25]
     assert incentive_values(inc, game, [0.25, 0.75]).tolist() == [0.25, 0.0]
@@ -140,12 +140,12 @@ def test_best_reply_picks_the_fitter_type():
 
 def test_best_reply_is_two_types_only():
     with pytest.raises(ValidationError):
-        incentive_values(Incentive.best_reply(), rsp_landscape(1, 1), [0.4, 0.3, 0.3])
+        incentive_values(Incentive.best_reply(), Landscape.rsp(1, 1).build(3), [0.4, 0.3, 0.3])
 
 
 def test_best_reply_undefined_when_winner_absent():
     with pytest.raises(IllDefinedIncentiveError):
-        incentive_values(Incentive.best_reply(), hawk_dove_landscape(), [1.0, 0.0])
+        incentive_values(Incentive.best_reply(), Landscape.hawk_dove().build(2), [1.0, 0.0])
 
 
 def kernel_entry(kern, source, target):
@@ -164,7 +164,7 @@ def test_reproduction_probabilities_example():
 
 def test_reproduction_probabilities_scale_invariant():
     # The replicator weights scale with the payoffs; the kernel must not.
-    game = rsp_landscape(1.0, 0.5).entries + 1.0
+    game = Landscape.rsp(1.0, 0.5).build(3).entries + 1.0
     mutation = MutationModel.uniform(0.2)
     base = build_kernel(3, 7, Incentive.replicator(), GameMatrix(game), mutation).matrix
     for scale in (2.0, 0.5, 3.7):
@@ -197,7 +197,7 @@ def test_reproduction_probabilities_fuzz_is_stochastic():
 
 def test_batch_matches_single():
     rng = np.random.default_rng(3)
-    game = rsp_landscape(1.2, 0.7)
+    game = Landscape.rsp(1.2, 0.7).build(3)
     inc = Incentive.fermi(beta=0.8, q=2.0)
     X = rng.dirichlet(np.ones(3), size=20)
     batch = incentive_values_batch(inc, game, X)

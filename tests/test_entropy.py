@@ -6,6 +6,7 @@ from scipy import sparse
 
 from evorate import (
     Incentive,
+    Landscape,
     MutationModel,
     NumericalConsistencyError,
     TransitionKernel,
@@ -27,7 +28,6 @@ from evorate.entropy import (
     shannon_entropy,
     transition_entropy,
 )
-from evorate.catalog import rsp_landscape
 
 
 def test_shannon_entropy_basics():
@@ -51,7 +51,7 @@ def test_shannon_entropy_validation():
     "n,N,incentive,game,mu",
     [
         (2, 6, Incentive.neutral(), None, 0.1),
-        (3, 6, Incentive.fermi(beta=0.8), rsp_landscape(1, 1), 0.2),
+        (3, 6, Incentive.fermi(beta=0.8), Landscape.rsp(1, 1).build(3), 0.2),
     ],
 )
 def test_transition_entropies_match_scalar(n, N, incentive, game, mu):

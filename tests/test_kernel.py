@@ -7,17 +7,12 @@ from evorate import (
     GameMatrix,
     IllDefinedIncentiveError,
     Incentive,
+    Landscape,
     MutationModel,
     ValidationError,
     build_kernel,
     central_states,
     enumerate_states,
-)
-from evorate.catalog import (
-    hawk_dove_landscape,
-    moran_landscape,
-    neutral_landscape,
-    rsp_landscape,
 )
 from evorate.dynamics import incentive_values_batch
 from evorate.kernel import (
@@ -99,10 +94,10 @@ def dense_oracle(n, N, incentive, game, mutation):
 
 CONFIGS = [
     (2, 5, Incentive.neutral(), None, MutationModel.uniform(0.1)),
-    (2, 6, Incentive.fermi(beta=1.0), moran_landscape(2), MutationModel.uniform(0.2)),
-    (2, 7, Incentive.replicator(q=2.0), hawk_dove_landscape(), MutationModel.uniform(0.5)),
-    (3, 5, Incentive.replicator(q=1.0), neutral_landscape(3), MutationModel.uniform(1 / 3)),
-    (3, 6, Incentive.fermi(beta=0.7, q=2.0), rsp_landscape(1, 2), MutationModel.uniform(0.05)),
+    (2, 6, Incentive.fermi(beta=1.0), Landscape.moran(2).build(2), MutationModel.uniform(0.2)),
+    (2, 7, Incentive.replicator(q=2.0), Landscape.hawk_dove().build(2), MutationModel.uniform(0.5)),
+    (3, 5, Incentive.replicator(q=1.0), Landscape.neutral().build(3), MutationModel.uniform(1 / 3)),
+    (3, 6, Incentive.fermi(beta=0.7, q=2.0), Landscape.rsp(1, 2).build(3), MutationModel.uniform(0.05)),
     (4, 5, Incentive.neutral(), None, MutationModel.uniform(0.75)),
     (2, 6, Incentive.neutral(), None, MutationModel.from_matrix([[0.9, 0.1], [0.3, 0.7]])),
 ]
@@ -190,17 +185,17 @@ def test_lattice_dimensions_are_checked_first(n, N, mutation):
 
 def test_game_shape_must_match():
     with pytest.raises(ValidationError):
-        build_kernel(3, 6, Incentive.fermi(beta=1.0), moran_landscape(2), MutationModel.uniform(0.1))
+        build_kernel(3, 6, Incentive.fermi(beta=1.0), Landscape.moran(2).build(2), MutationModel.uniform(0.1))
 
 
 def test_best_reply_full_lattice_is_ill_defined_at_corners():
     with pytest.raises(IllDefinedIncentiveError, match="state"):
-        build_kernel(2, 10, Incentive.best_reply(), hawk_dove_landscape(), MutationModel.uniform(0.1))
+        build_kernel(2, 10, Incentive.best_reply(), Landscape.hawk_dove().build(2), MutationModel.uniform(0.1))
 
 
 def test_reachable_build_best_reply_stays_central():
     kern = build_kernel(
-        2, 10, Incentive.best_reply(), hawk_dove_landscape(), MutationModel.uniform(0.0),
+        2, 10, Incentive.best_reply(), Landscape.hawk_dove().build(2), MutationModel.uniform(0.0),
         reachable_from=central_states(2, 10),
     )
     assert kern.states.tolist() == [[6, 4], [5, 5], [4, 6]]
@@ -259,9 +254,9 @@ GAME4 = np.array([
 @pytest.mark.parametrize(
     "n,N,incentive,game,mutation,seeds",
     [
-        (3, 12, Incentive.fermi(beta=0.0), rsp_landscape(1, 1), MutationModel.uniform(0.0),
+        (3, 12, Incentive.fermi(beta=0.0), Landscape.rsp(1, 1).build(3), MutationModel.uniform(0.0),
          central_states(3, 12)),
-        (3, 12, Incentive.fermi(beta=1.0), rsp_landscape(1, 1), MutationModel.uniform(0.0),
+        (3, 12, Incentive.fermi(beta=1.0), Landscape.rsp(1, 1).build(3), MutationModel.uniform(0.0),
          central_states(3, 12)),
         (4, 8, Incentive.fermi(beta=2.0), GameMatrix(GAME4), ONE_WAY, [[0, 3, 3, 2]]),
         (4, 8, Incentive.fermi(beta=2.0), GameMatrix(GAME4), ONE_WAY, [[0, 0, 1, 7]]),
@@ -269,7 +264,7 @@ GAME4 = np.array([
         (4, 8, Incentive.neutral(), None, ONE_WAY,
          [[0, 0, 3, 5], [0, 0, 3, 5], [0, 2, 0, 6]]),
         # best reply is defined for two types only
-        (2, 12, Incentive.best_reply(), hawk_dove_landscape(), MutationModel.uniform(0.0),
+        (2, 12, Incentive.best_reply(), Landscape.hawk_dove().build(2), MutationModel.uniform(0.0),
          central_states(2, 12)),
     ],
     ids=["rsp-beta0", "rsp-beta1", "n4-game", "n4-game-corner", "n4-neutral-corner",
@@ -294,7 +289,7 @@ def test_irreducibility_and_recurrent_classes():
 
 def test_recurrent_classes_moran_selection_mu_zero():
     kern = build_kernel(
-        2, 8, Incentive.replicator(q=1), moran_landscape(2), MutationModel.uniform(0.0)
+        2, 8, Incentive.replicator(q=1), Landscape.moran(2).build(2), MutationModel.uniform(0.0)
     )
     classes = recurrent_classes(kern)
     assert [c.tolist() for c in classes] == [[0], [8]]
@@ -330,7 +325,7 @@ def test_raw_kernel_reducibility():
 
 def test_rsp_symmetries_are_the_cyclic_group():
     kern = build_kernel(
-        3, 10, Incentive.fermi(beta=1.0), rsp_landscape(2, 1), MutationModel.uniform(0.1)
+        3, 10, Incentive.fermi(beta=1.0), Landscape.rsp(2, 1).build(3), MutationModel.uniform(0.1)
     )
     assert kern.symmetries.tolist() == [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
 
@@ -342,13 +337,13 @@ def test_symmetries_need_both_the_game_and_the_mutation_matrix():
     Q = np.full((3, 3), 0.05) + 0.85 * np.eye(3)
     Q[0] = [0.8, 0.15, 0.05]
     skewed = build_kernel(
-        3, 10, Incentive.fermi(beta=1.0), rsp_landscape(1, 1), MutationModel.from_matrix(Q)
+        3, 10, Incentive.fermi(beta=1.0), Landscape.rsp(1, 1).build(3), MutationModel.from_matrix(Q)
     )
     assert skewed.symmetries.tolist() == [[0, 1, 2]]
 
 
 def test_near_symmetric_game_has_only_the_identity():
-    A = rsp_landscape(1, 1).entries.copy()
+    A = Landscape.rsp(1, 1).build(3).entries.copy()
     A[0, 1] += 1e-12
     kern = build_kernel(
         3, 10, Incentive.fermi(beta=1.0), GameMatrix(A), MutationModel.uniform(0.1)
@@ -357,7 +352,7 @@ def test_near_symmetric_game_has_only_the_identity():
 
 
 def test_reachable_restricted_and_raw_kernels_carry_only_the_identity():
-    incentive, game = Incentive.fermi(beta=1.0), rsp_landscape(1, 1)
+    incentive, game = Incentive.fermi(beta=1.0), Landscape.rsp(1, 1).build(3)
     mutation = MutationModel.uniform(0.1)
     assert len(build_kernel(3, 10, incentive, game, mutation).symmetries) == 3
     reachable = build_kernel(3, 10, incentive, game, mutation, reachable_from=central_states(3, 10))

@@ -76,6 +76,9 @@ def test_config_validation():
         TrajectoryConfig(length=True, seed=0)
     with pytest.raises(ValidationError, match="seed"):
         TrajectoryConfig(length=5, seed=False)
+    for start in (True, False):  # a bool is not row 1 or row 0
+        with pytest.raises(ValidationError, match="start must be a row index or a state"):
+            TrajectoryConfig(length=5, seed=0, start=start)
     assert TrajectoryConfig(length=np.int64(5), seed=np.uint8(3)).length == 5
 
 

@@ -25,7 +25,6 @@ from evorate import (
     solve_stationary,
 )
 from evorate import stationary as stationary_module
-from evorate.catalog import moran_landscape, rsp_landscape
 from evorate.cli import main
 from evorate.entropy import entropy_rate
 from evorate.kernel import _orbit_kernel, raw_kernel
@@ -112,7 +111,7 @@ def test_power_iteration_requires_irreducibility():
 
 def test_power_iteration_budget(monkeypatch):
     kern = build_kernel(
-        3, 6, Incentive.fermi(beta=1.0), rsp_landscape(1, 1), MutationModel.uniform(0.1)
+        3, 6, Incentive.fermi(beta=1.0), Landscape.rsp(1, 1).build(3), MutationModel.uniform(0.1)
     )
     monkeypatch.setattr(stationary_module, "_MAX_ITERS", 3)
     with pytest.raises(ConvergenceError, match="within 3 iterations"):
@@ -121,7 +120,7 @@ def test_power_iteration_budget(monkeypatch):
 
 def rsp_kernel(N, mu):
     return build_kernel(
-        3, N, Incentive.fermi(beta=1.0), rsp_landscape(1, 1), MutationModel.uniform(mu)
+        3, N, Incentive.fermi(beta=1.0), Landscape.rsp(1, 1).build(3), MutationModel.uniform(mu)
     )
 
 
@@ -156,7 +155,7 @@ def test_arnoldi_matches_closed_form():
 
 def test_arnoldi_matches_reversible_product():
     kern = build_kernel(
-        2, 1500, Incentive.fermi(beta=2.0), moran_landscape(2), MutationModel.uniform(1 / 1500)
+        2, 1500, Incentive.fermi(beta=2.0), Landscape.moran(2).build(2), MutationModel.uniform(1 / 1500)
     )
     dist = solve_stationary(kern)
     assert dist.method == "arnoldi"
@@ -290,7 +289,7 @@ def test_three_type_chain_where_arnoldi_is_silently_wrong():
 
 def test_gth_helper_matches_exact_rational_gth():
     kern = build_kernel(
-        3, 6, Incentive.fermi(beta=1.0), rsp_landscape(2, 1), MutationModel.uniform(0.01)
+        3, 6, Incentive.fermi(beta=1.0), Landscape.rsp(2, 1).build(3), MutationModel.uniform(0.01)
     )
     assert kern.num_states == 28
     exact = np.array([float(x) for x in gth_exact(kern.matrix)])
@@ -382,7 +381,7 @@ def test_reversible_matches_closed_form_exactly_enough():
 
 def test_reversible_on_selection_chain():
     kern = build_kernel(
-        2, 15, Incentive.fermi(beta=2.0), moran_landscape(3), MutationModel.uniform(0.05)
+        2, 15, Incentive.fermi(beta=2.0), Landscape.moran(3).build(2), MutationModel.uniform(0.05)
     )
     dist = reversible_stationary(kern)
     iterative = solve_stationary(kern)
@@ -419,7 +418,7 @@ def test_reversible_rejects_disconnected_support():
 
 def test_rsp_chain_is_genuinely_irreversible():
     kern = build_kernel(
-        3, 6, Incentive.fermi(beta=1.0), rsp_landscape(1, 1), MutationModel.uniform(0.1)
+        3, 6, Incentive.fermi(beta=1.0), Landscape.rsp(1, 1).build(3), MutationModel.uniform(0.1)
     )
     dist = solve_stationary(kern)
     ok, violation = check_detailed_balance(kern, dist.probabilities)

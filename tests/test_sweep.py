@@ -147,6 +147,13 @@ class TestEvaluateProcess:
             _config(n=1, N=10)
         with pytest.raises(ValidationError):
             _config(n=3, N=3)
+        with pytest.raises(ValidationError, match="landscape 'rsp' requires n=3, got n=2"):
+            _config(n=2, landscape=Landscape.rsp(1, 1))
+        with pytest.raises(ValidationError, match="mutation matrix is 3x3, process has n=2 types"):
+            ProcessConfig(
+                n=2, N=10, incentive=Incentive.neutral(), landscape=Landscape.neutral(),
+                mutation=MutationModel.from_matrix(np.full((3, 3), 1 / 3)),
+            )
 
 
 class TestAxesAndDerivedMu:
@@ -210,17 +217,17 @@ class TestSweepSpecValidation:
             self._spec(incentive=Incentive.fermi(beta=1.0), axes=axes)
 
     def test_axis_range_checks(self):
-        with pytest.raises(ValidationError, match="mu"):
+        with pytest.raises(ValidationError, match=r"mutation rate must lie in \[0, 1\], got 1.5"):
             self._spec(mutation=None, axes=(SweepAxis("mu", (0.5, 1.5)),))
-        with pytest.raises(ValidationError, match="integers greater"):
+        with pytest.raises(ValidationError, match="'N' axis values must be integers"):
             self._spec(N=None, axes=(SweepAxis("N", (10.5,)),))
-        with pytest.raises(ValidationError, match="integers greater"):
+        with pytest.raises(ValidationError, match="population must exceed the number of types"):
             self._spec(N=None, axes=(SweepAxis("N", (2,)),))
-        with pytest.raises(ValidationError, match="nonnegative"):
+        with pytest.raises(ValidationError, match="beta must be finite and >= 0"):
             self._spec(
                 incentive=Incentive.fermi(beta=1.0), axes=(SweepAxis("beta", (-0.5,)),)
             )
-        with pytest.raises(ValidationError, match="positive"):
+        with pytest.raises(ValidationError, match="r must be finite and positive"):
             self._spec(landscape=Landscape.moran(r=2.0), axes=(SweepAxis("r", (0.0,)),))
 
     def test_population_size_fixed_xor_swept(self):
@@ -250,13 +257,13 @@ class TestSweepSpecValidation:
             self._spec(mutation=None, derived_mu=DerivedMu("scaling_k"))
 
     def test_axes_must_fit_incentive_and_landscape(self):
-        with pytest.raises(ValidationError, match="fermi"):
+        with pytest.raises(ValidationError, match="the neutral incentive takes no beta"):
             self._spec(axes=(SweepAxis("beta", (0.5,)),))
-        with pytest.raises(ValidationError, match="fermi or replicator"):
+        with pytest.raises(ValidationError, match="the neutral incentive takes no exponent q"):
             self._spec(axes=(SweepAxis("q", (0.5,)),))
-        with pytest.raises(ValidationError, match="moran"):
+        with pytest.raises(ValidationError, match="the neutral landscape takes no parameter 'r'"):
             self._spec(axes=(SweepAxis("r", (0.5,)),))
-        with pytest.raises(ValidationError, match="rsp"):
+        with pytest.raises(ValidationError, match="the neutral landscape takes no parameter 'a'"):
             self._spec(axes=(SweepAxis("a", (0.5,)),))
 
     def test_output_format_checked(self):
