@@ -60,6 +60,9 @@ class Landscape:
                 raise ValidationError(f"the {self.name} landscape takes no parameter {key!r}")
             if not given and key in uses:
                 raise ValidationError(f"the {self.name} landscape requires parameter {key!r}")
+        for key in ("r", "a", "b"):
+            if getattr(self, key) is not None:
+                object.__setattr__(self, key, float(getattr(self, key)))
         if self.name == "moran" and not (np.isfinite(self.r) and self.r > 0):
             raise ValidationError(f"relative fitness r must be finite and positive, got {self.r}")
         if self.name == "rsp" and not (np.isfinite(self.a) and np.isfinite(self.b)):

@@ -82,6 +82,8 @@ class ProcessConfig:
             raise ValidationError(
                 f"population must exceed the number of types, got n={self.n}, N={self.N!r}"
             )
+        if self.incentive.kind == "best_reply" and self.n != 2:
+            raise ValidationError("best_reply is only defined for two types")
         # Both raise ValidationError unless the game and the mutation matrix have n types.
         self.landscape.build(self.n)
         self.mutation.matrix(self.n)
@@ -411,6 +413,9 @@ def incentive_from_json(doc) -> Incentive:
 def mutation_from_json(doc) -> MutationModel:
     if not isinstance(doc, dict):
         raise ValidationError(f"mutation must be an object, got {type(doc).__name__}")
+    extra = set(doc) - {"mu", "matrix"}
+    if extra:
+        raise ValidationError(f"mutation has unknown keys {sorted(extra)}")
     if "matrix" in doc:
         _check_square_rows(doc["matrix"], "mutation ")
     mu = _as_float(doc["mu"], "mutation 'mu'") if "mu" in doc else None

@@ -418,8 +418,13 @@ SWEEP_BASE = {"n": 2, "N": 8, "incentive": {"kind": "fermi", "beta": 1.0}, "muta
             },
             "mutation rate must lie in [0, 1], got 2.0",  # at N=10; N=30 gives 2/3
         ),
+        (
+            {"n": 3, "incentive": {"kind": "best_reply"}},
+            "best_reply is only defined for two types",
+        ),
     ],
-    ids=["rsp-game-for-two-types", "two-type-mutation-matrix-for-three", "derived-mu-above-one"],
+    ids=["rsp-game-for-two-types", "two-type-mutation-matrix-for-three", "derived-mu-above-one",
+         "best-reply-for-three-types"],
 )
 def test_sweep_description_error_anywhere_in_the_grid_exits_one(tmp_path, capsys, fields, message):
     config = {**SWEEP_BASE, **fields}

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 from scipy.sparse import identity
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import eigs, spsolve
 
 from evorate import (
     ConvergenceError,
@@ -175,6 +175,43 @@ def test_arnoldi_matches_direct_solve_and_is_deterministic():
     assert np.abs(dist.probabilities - direct).max() <= 1e-10
     again = solve_stationary(kern)
     assert np.array_equal(dist.probabilities, again.probabilities)
+
+
+def stationary_by_left_products(kern):
+    """solve_stationary as written with left products: s @ T steps, eigs on the view T.T."""
+    T = kern.matrix
+    M = T.shape[0]
+    tol, max_iters = stationary_module._TOL, stationary_module._MAX_ITERS
+    if M > ARNOLDI_MIN_STATES:
+        _, vectors = eigs(T.T, k=1, which="LM", v0=np.full(M, 1.0 / M), tol=tol, maxiter=max_iters)
+        s = np.abs(vectors[:, 0].real)
+        return s / s.sum(), None
+    s = np.full(M, 1.0 / M)
+    for iteration in range(1, max_iters + 1):
+        y = s @ T
+        y /= y.sum()
+        close = bool(np.abs(y - s).max() <= tol)
+        s = y
+        if close and stationary_residual(kern, s) <= tol:
+            return s, iteration
+    raise AssertionError("the reference power iteration did not converge")
+
+
+@pytest.mark.parametrize(
+    "make_kernel,method",
+    [
+        (lambda: rsp_kernel(30, 1 / 30), "iterative"),  # criterion 2's chain, 496 states
+        (lambda: game4_kernel(1 / 20), "arnoldi"),  # no type symmetry, 1,771 states
+    ],
+    ids=["power-rsp-n3-N30", "arnoldi-game4-N20"],
+)
+def test_row_major_transpose_changes_no_bit(make_kernel, method):
+    kern = make_kernel()
+    dist = solve_stationary(kern)
+    assert dist.method == method
+    s, iterations = stationary_by_left_products(kern)
+    assert np.array_equal(dist.probabilities, s)
+    assert dist.iterations == iterations
 
 
 def test_arnoldi_budget(capsys, tmp_path, monkeypatch):

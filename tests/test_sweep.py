@@ -154,6 +154,8 @@ class TestEvaluateProcess:
                 n=2, N=10, incentive=Incentive.neutral(), landscape=Landscape.neutral(),
                 mutation=MutationModel.from_matrix(np.full((3, 3), 1 / 3)),
             )
+        with pytest.raises(ValidationError, match="best_reply is only defined for two types"):
+            _config(n=3, incentive=Incentive.best_reply())
 
 
 class TestAxesAndDerivedMu:
@@ -450,6 +452,23 @@ class TestWriters:
         value = dict(zip(CSV_COLUMNS, record))["entropy_rate"]
         assert float(value) == rows[1].entropy_rate  # repr keeps every bit
 
+    def test_csv_writes_integer_landscape_parameters_as_floats(self):
+        built = SweepSpec(
+            n=2, N=8, incentive=Incentive.fermi(beta=1.0), landscape=Landscape.moran(2),
+            mutation=MutationModel.uniform(0.1),
+        )
+        loaded = load_sweep_spec({
+            "n": 2, "N": 8, "incentive": {"kind": "fermi", "beta": 1.0},
+            "landscape": {"name": "moran", "r": 2.0}, "mutation": {"mu": 0.1},
+        })
+        outputs = []
+        for spec in (built, loaded):
+            buf = io.StringIO()
+            write_rows_csv(run_sweep(spec), buf)
+            outputs.append(buf.getvalue())
+        assert outputs[0] == outputs[1]
+        assert dict(zip(CSV_COLUMNS, outputs[0].splitlines()[1].split(",")))["r"] == "2.0"
+
     def test_json_shape(self, rows):
         buf = io.StringIO()
         write_rows_json(rows, buf)
@@ -513,6 +532,10 @@ class TestSpecLoading:
         doc = self._doc()
         doc["output"]["compression"] = "gzip"
         with pytest.raises(ValidationError, match="unknown keys"):
+            load_sweep_spec(doc)
+        doc = self._doc()
+        doc["mutation"] = {"mu": 0.1, "zap": 1}
+        with pytest.raises(ValidationError, match=r"mutation has unknown keys \['zap'\]"):
             load_sweep_spec(doc)
 
     def test_missing_required_keys(self):
