@@ -14,6 +14,11 @@ payoffs for n types:
 A Landscape is a lightweight description (name plus parameters) that
 builds a GameMatrix on demand; sweeps carry the description so output
 rows can name what they ran.
+
+Every JSON object the package reads, here and in sweep.py, goes through
+_block, which refuses unknown keys, missing keys and null values.  The
+readers check no numbers: the type that holds one does (dynamics._number),
+with the message the Python constructor gives.
 """
 
 import json
@@ -21,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import GameMatrix
+from .dynamics import GameMatrix, _number
 from .errors import ValidationError
 
 # name -> (number of types or None, parameters, payoffs(landscape, n))
@@ -62,7 +67,7 @@ class Landscape:
                 raise ValidationError(f"the {self.name} landscape requires parameter {key!r}")
         for key in ("r", "a", "b"):
             if getattr(self, key) is not None:
-                object.__setattr__(self, key, float(getattr(self, key)))
+                object.__setattr__(self, key, _number(getattr(self, key), f"landscape {key!r}"))
         if self.name == "moran" and not (np.isfinite(self.r) and self.r > 0):
             raise ValidationError(f"relative fitness r must be finite and positive, got {self.r}")
         if self.name == "rsp" and not (np.isfinite(self.a) and np.isfinite(self.b)):
@@ -107,33 +112,48 @@ class Landscape:
         return GameMatrix(_LANDSCAPES[self.name][2](self, n))
 
 
+def _block(doc, what: str, keys, required=()) -> dict:
+    """A copy of the JSON object `doc`; ValidationError unless its keys are among
+    `keys`, include every one of `required`, and hold no null.
+
+    The types read None as "not given", so a null is refused here rather
+    than passed on as a value left out.
+    """
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{what} must be an object, got {type(doc).__name__}")
+    extra = set(doc) - set(keys)
+    if extra:
+        raise ValidationError(f"{what} has unknown keys {sorted(extra)}")
+    for key in required:
+        if key not in doc:
+            raise ValidationError(f"{what} is missing {key!r}")
+    for key, value in doc.items():
+        if value is None:
+            raise ValidationError(f"{what} {key!r} must not be null")
+    return dict(doc)
+
+
+def _read_json(path):
+    """The parsed contents of a JSON file; ValidationError if it is not valid JSON."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"{path}: invalid JSON ({exc})") from exc
+
+
 def landscape_from_json(doc) -> Landscape:
     """Parse a landscape description from a JSON document.
 
-    Accepts {"name": ..., params} with hyphen or underscore spellings,
-    or a bare game-matrix document for custom landscapes.
+    Accepts {"name": ..., params} with hyphen or underscore spellings, or
+    a game-matrix document, with or without "name": "custom", for custom
+    landscapes.
     """
-    if not isinstance(doc, dict):
-        raise ValidationError(f"landscape document must be an object, got {type(doc).__name__}")
-    if "name" not in doc:
-        if "matrix" in doc:
-            return Landscape.custom(game_matrix_from_json(doc))
-        raise ValidationError("landscape document is missing 'name'")
-    name = str(doc["name"]).replace("-", "_")
-    if name == "custom":
+    if isinstance(doc, dict) and doc.get("name", "custom" if "matrix" in doc else None) == "custom":
+        doc = {key: value for key, value in doc.items() if key != "name"}
         return Landscape.custom(game_matrix_from_json(doc))
-    known = {"name", "r", "a", "b"}
-    extra = set(doc) - known
-    if extra:
-        raise ValidationError(f"landscape document has unknown keys {sorted(extra)}")
-    params = {key: _as_float(doc[key], f"landscape {key!r}") for key in ("r", "a", "b") if key in doc}
-    return Landscape(name, **params)
-
-
-def _as_float(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{where} must be a number, got {value!r}")
-    return float(value)
+    doc = _block(doc, "landscape document", ("name", "r", "a", "b"), required=("name",))
+    return Landscape(str(doc.pop("name")).replace("-", "_"), **doc)
 
 
 def _check_square_rows(rows, where: str = "") -> None:
@@ -145,23 +165,20 @@ def _check_square_rows(rows, where: str = "") -> None:
         if not isinstance(row, list) or len(row) != n:
             raise ValidationError(f"{where}matrix row {i} must be a list of length {n}")
         for j, value in enumerate(row):
-            _as_float(value, f"{where}matrix entry [{i}][{j}]")
+            _number(value, f"{where}matrix entry [{i}][{j}]")
 
 
 def game_matrix_from_json(doc) -> GameMatrix:
     """Parse {"n": ..., "matrix": [[...], ...]} into a GameMatrix.
 
-    The "n" key is optional but must match the matrix shape if present.
+    The "n" key is optional but must be an integer matching the matrix shape if present.
     """
-    if not isinstance(doc, dict):
-        raise ValidationError(f"game matrix document must be an object, got {type(doc).__name__}")
-    if "matrix" not in doc:
-        raise ValidationError("game matrix document is missing 'matrix'")
+    doc = _block(doc, "game matrix document", ("n", "matrix"), required=("matrix",))
     rows = doc["matrix"]
     _check_square_rows(rows)
-    n = len(rows)
-    if "n" in doc and doc["n"] != n:
-        raise ValidationError(f"document says n={doc['n']} but matrix has {n} rows")
+    n = doc.get("n", len(rows))
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n != len(rows):
+        raise ValidationError(f"document says n={n!r} but matrix has {len(rows)} rows")
     return GameMatrix(rows)
 
 
@@ -171,9 +188,4 @@ def game_matrix_to_json(game: GameMatrix) -> dict:
 
 def load_game_matrix(path) -> GameMatrix:
     """Read a game matrix from a JSON file."""
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: invalid JSON ({exc})") from exc
-    return game_matrix_from_json(doc)
+    return game_matrix_from_json(_read_json(path))

@@ -31,6 +31,19 @@ INCENTIVE_KINDS = ("neutral", "replicator", "fermi", "best_reply")
 _SIMPLEX_TOL = 1e-12
 
 
+def _number(value, what: str) -> float:
+    """float(value) for an int, a float or a numpy number, not a bool.
+
+    Anything else raises ValidationError naming `what`.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValidationError(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an int beyond the float range
+        raise ValidationError(f"{what} is too large for a float") from None
+
+
 @dataclass(frozen=True)
 class GameMatrix:
     """A square payoff matrix defining linear fitness f(abar) = A @ abar."""
@@ -67,6 +80,9 @@ class Incentive:
             raise ValidationError(
                 f"unknown incentive kind {self.kind!r}, expected one of {INCENTIVE_KINDS}"
             )
+        for key in ("q", "beta"):
+            if getattr(self, key) is not None:
+                object.__setattr__(self, key, _number(getattr(self, key), f"incentive {key!r}"))
         if self.q is not None and self.kind not in ("replicator", "fermi"):
             raise ValidationError(f"the {self.kind} incentive takes no exponent q, got q={self.q}")
         if self.beta is not None and self.kind != "fermi":
@@ -76,13 +92,11 @@ class Incentive:
                 object.__setattr__(self, "q", 1.0)
             if not np.isfinite(self.q) or self.q < 0:
                 raise ValidationError(f"exponent q must be finite and >= 0, got {self.q}")
-            object.__setattr__(self, "q", float(self.q))
         if self.kind == "fermi":
             if self.beta is None:
                 raise ValidationError("fermi incentive requires a selection strength beta")
             if not np.isfinite(self.beta) or self.beta < 0:
                 raise ValidationError(f"beta must be finite and >= 0, got {self.beta}")
-            object.__setattr__(self, "beta", float(self.beta))
 
     @classmethod
     def neutral(cls) -> "Incentive":
@@ -117,9 +131,9 @@ class MutationModel:
         if (self.mu is None) == (self.custom is None):
             raise ValidationError("specify exactly one of a rate mu or an explicit matrix")
         if self.mu is not None:
+            object.__setattr__(self, "mu", _number(self.mu, "mutation 'mu'"))
             if not np.isfinite(self.mu) or not 0.0 <= self.mu <= 1.0:
                 raise ValidationError(f"mutation rate must lie in [0, 1], got {self.mu}")
-            object.__setattr__(self, "mu", float(self.mu))
         if self.custom is not None:
             Q = np.asarray(self.custom, dtype=np.float64)
             if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .kernel import TransitionKernel
-from .simplex import central_states, rank_states
+from .simplex import central_states, rank_states, validate_state
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,7 @@ def _resolve_start(kernel: TransitionKernel, start) -> int:
         center = central_states(kernel.n, kernel.N)[0]
         missing = f"central state {center.tolist()} is not part of this kernel; pass a start"
         return _row_of(kernel, center, missing)
-    counts = np.asarray(start, dtype=np.int64)
+    counts = validate_state(start, n=kernel.n, N=kernel.N)
     return _row_of(kernel, counts, f"start state {counts.tolist()} is not part of this kernel")
 
 

@@ -26,6 +26,10 @@ anything runs; a point that fails to evaluate (a reducible chain, an
 ill-defined incentive, a solver that does not converge) lands in the
 row's error column rather than aborting, except entropy-rate bound
 violations, which indicate an implementation problem and abort the run.
+
+load_sweep_spec reads a sweep's JSON document: each object through
+catalog._block, with its keys named once, and each number by the type
+that holds it (see catalog.py).
 """
 
 import contextlib
@@ -38,8 +42,8 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .catalog import Landscape, _as_float, _check_square_rows, landscape_from_json
-from .dynamics import Incentive, MutationModel
+from .catalog import Landscape, _block, _check_square_rows, _read_json, landscape_from_json
+from .dynamics import Incentive, MutationModel, _number
 from .entropy import EntropyReport, entropy_rate
 from .errors import (
     EvorateError,
@@ -171,7 +175,11 @@ class SweepAxis:
     def __post_init__(self):
         if self.name not in AXIS_NAMES:
             raise ValidationError(f"unknown axis {self.name!r}, expected one of {AXIS_NAMES}")
-        values = tuple(float(v) for v in self.values)
+        if not isinstance(self.values, (list, tuple)):
+            raise ValidationError(
+                f"axis {self.name!r} values must be a list or tuple, got {self.values!r}"
+            )
+        values = tuple(_number(v, f"axis {self.name!r} value") for v in self.values)
         if not values:
             raise ValidationError(f"axis {self.name!r} has no values")
         if not np.isfinite(values).all():
@@ -202,8 +210,13 @@ class DerivedMu:
             value = getattr(self, key)
             if value is not None and key not in uses:
                 raise ValidationError(f"derived_mu rule {self.rule!r} takes no {key!r}")
-            if key != "base" and value is not None and not (np.isfinite(value) and value >= 0):
-                raise ValidationError(f"derived_mu {key!r} must be finite and >= 0, got {value}")
+            if key != "base" and value is not None:
+                value = _number(value, f"derived_mu {key!r}")
+                if not (np.isfinite(value) and value >= 0):
+                    raise ValidationError(
+                        f"derived_mu {key!r} must be finite and >= 0, got {value}"
+                    )
+                object.__setattr__(self, key, value)
         if self.rule == "c_over_N" and self.c is None:
             object.__setattr__(self, "c", 1.0)
         if self.rule == "scaling_k" and self.base is None:
@@ -246,6 +259,8 @@ class SweepSpec:
         for axis in self.axes:
             if axis.name == "N" and any(v != round(v) for v in axis.values):
                 raise ValidationError(f"'N' axis values must be integers, got {axis.values}")
+        if self.output_path is not None and not isinstance(self.output_path, str):
+            raise ValidationError(f"output 'path' must be a string, got {self.output_path!r}")
         if self.output_format not in ("csv", "json"):
             raise ValidationError(f"output format must be 'csv' or 'json', got {self.output_format!r}")
         if self.N is None and "N" not in names:
@@ -398,77 +413,32 @@ def write_rows_json(rows: list[SweepRow], fh) -> None:
 
 
 def incentive_from_json(doc) -> Incentive:
-    if not isinstance(doc, dict):
-        raise ValidationError(f"incentive must be an object, got {type(doc).__name__}")
-    if "kind" not in doc:
-        raise ValidationError("incentive is missing 'kind'")
-    kind = str(doc["kind"]).replace("-", "_")
-    extra = set(doc) - {"kind", "q", "beta"}
-    if extra:
-        raise ValidationError(f"incentive has unknown keys {sorted(extra)}")
-    params = {key: _as_float(doc[key], f"incentive {key!r}") for key in ("q", "beta") if key in doc}
-    return Incentive(kind, **params)
+    doc = _block(doc, "incentive", ("kind", "q", "beta"), required=("kind",))
+    return Incentive(str(doc.pop("kind")).replace("-", "_"), **doc)
 
 
 def mutation_from_json(doc) -> MutationModel:
-    if not isinstance(doc, dict):
-        raise ValidationError(f"mutation must be an object, got {type(doc).__name__}")
-    extra = set(doc) - {"mu", "matrix"}
-    if extra:
-        raise ValidationError(f"mutation has unknown keys {sorted(extra)}")
+    doc = _block(doc, "mutation", ("mu", "matrix"))
     if "matrix" in doc:
         _check_square_rows(doc["matrix"], "mutation ")
-    mu = _as_float(doc["mu"], "mutation 'mu'") if "mu" in doc else None
-    return MutationModel(mu=mu, custom=doc.get("matrix"))
+    return MutationModel(mu=doc.get("mu"), custom=doc.get("matrix"))
 
 
 def load_sweep_spec(doc) -> SweepSpec:
     """Build a SweepSpec from a parsed JSON document."""
-    if not isinstance(doc, dict):
-        raise ValidationError(f"sweep spec must be an object, got {type(doc).__name__}")
-    known = {"n", "N", "incentive", "mutation", "landscape", "axes", "derived_mu", "output"}
-    extra = set(doc) - known
-    if extra:
-        raise ValidationError(f"sweep spec has unknown keys {sorted(extra)}")
-    if "n" not in doc:
-        raise ValidationError("sweep spec is missing 'n'")
-    if "incentive" not in doc:
-        raise ValidationError("sweep spec is missing 'incentive'")
-
+    keys = ("n", "N", "incentive", "mutation", "landscape", "axes", "derived_mu", "output")
+    doc = _block(doc, "sweep spec", keys, required=("n", "incentive"))
+    if not isinstance(doc.get("axes", []), list):
+        raise ValidationError(f"sweep spec 'axes' must be a list, got {doc['axes']!r}")
     axes = []
     for i, axis in enumerate(doc.get("axes", [])):
-        if not isinstance(axis, dict) or "name" not in axis or "values" not in axis:
-            raise ValidationError(f"axis {i} must be an object with 'name' and 'values'")
-        if not isinstance(axis["values"], list):
-            raise ValidationError(f"axis {i} 'values' must be a list")
-        values = tuple(_as_float(v, f"axis {i} value") for v in axis["values"])
-        axes.append(SweepAxis(str(axis["name"]), values))
-
+        axis = _block(axis, f"axis {i}", ("name", "values"), required=("name", "values"))
+        axes.append(SweepAxis(str(axis["name"]), axis["values"]))
     derived = None
     if "derived_mu" in doc:
-        d = doc["derived_mu"]
-        if not isinstance(d, dict) or "rule" not in d:
-            raise ValidationError("derived_mu must be an object with a 'rule'")
-        unknown = set(d) - {"rule", "k", "c", "base"}
-        if unknown:
-            raise ValidationError(f"derived_mu has unknown keys {sorted(unknown)}")
-        params = {key: _as_float(d[key], f"derived_mu {key!r}") for key in ("k", "c") if key in d}
-        derived = DerivedMu(str(d["rule"]), base=d.get("base"), **params)
-
-    output_path = None
-    output_format = "csv"
-    if "output" in doc:
-        out = doc["output"]
-        if not isinstance(out, dict):
-            raise ValidationError("'output' must be an object")
-        unknown = set(out) - {"path", "format"}
-        if unknown:
-            raise ValidationError(f"output has unknown keys {sorted(unknown)}")
-        output_path = out.get("path")
-        if output_path is not None and not isinstance(output_path, str):
-            raise ValidationError(f"output 'path' must be a string, got {output_path!r}")
-        output_format = out.get("format", "csv")
-
+        block = _block(doc["derived_mu"], "derived_mu", ("rule", "k", "c", "base"), ("rule",))
+        derived = DerivedMu(str(block.pop("rule")), **block)
+    output = _block(doc.get("output", {}), "output", ("path", "format"))
     landscape = (
         landscape_from_json(doc["landscape"]) if "landscape" in doc else Landscape.neutral()
     )
@@ -482,15 +452,10 @@ def load_sweep_spec(doc) -> SweepSpec:
         mutation=mutation,
         axes=tuple(axes),
         derived_mu=derived,
-        output_path=output_path,
-        output_format=output_format,
+        output_path=output.get("path"),
+        output_format=output.get("format", "csv"),
     )
 
 
 def load_sweep_spec_file(path) -> SweepSpec:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: invalid JSON ({exc})") from exc
-    return load_sweep_spec(doc)
+    return load_sweep_spec(_read_json(path))

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -75,6 +76,11 @@ def test_game_matrix_json_errors():
         game_matrix_from_json({"n": 3, "matrix": [[1, 2], [3, 4]]})
     with pytest.raises(ValidationError):
         game_matrix_from_json([[1, 2], [3, 4]])
+    with pytest.raises(ValidationError, match=r"game matrix document has unknown keys \['name'\]"):
+        game_matrix_from_json({"name": "custom", "matrix": [[1, 2], [3, 4]]})
+    for n in ("2", True, 2.0):
+        with pytest.raises(ValidationError, match=re.escape(f"document says n={n!r} but")):
+            game_matrix_from_json({"n": n, "matrix": [[1, 2], [3, 4]]})
 
 
 def test_landscape_from_json():

@@ -264,6 +264,27 @@ def test_sample_start_flag(capsys):
     assert states == ["6"]  # (2,6) is the 7th state in descending-lex order
 
 
+@pytest.mark.parametrize(
+    "start,message",
+    [
+        ("40,-5,-5", "state has negative counts: [40, -5, -5]"),
+        ("1,2", "state has 2 coordinates, expected n=3"),
+        ("10,10,11", "state sums to 31, expected N=30"),
+    ],
+    ids=["negative", "too-few-counts", "wrong-total"],
+)
+def test_sample_bad_start_exits_one(capsys, start, message):
+    code, out, err = run_cli(
+        capsys,
+        "sample", "--n", "3", "--N", "30", "--mu", "0.1",
+        "--length", "5", "--seed", "1", "--start", start,
+    )
+    assert code == 1
+    assert out == ""
+    assert message in err
+    assert "Traceback" not in err
+
+
 def test_sweep_end_to_end(tmp_path, capsys):
     out_path = tmp_path / "rows.csv"
     config = {
@@ -341,6 +362,22 @@ def test_sweep_wrong_typed_number_exits_one(tmp_path, capsys):
     code, _, err = run_cli(capsys, "sweep", "--config", str(config_path))
     assert code == 1
     assert "must be a number" in err
+    assert "Traceback" not in err
+
+
+def test_sweep_unknown_key_exits_one(tmp_path, capsys):
+    config = {
+        "n": 2,
+        "N": 8,
+        "incentive": {"kind": "neutral"},
+        "axes": [{"name": "mu", "values": [0.1], "vals": [0.2]}],
+    }
+    config_path = tmp_path / "sweep.json"
+    config_path.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, "sweep", "--config", str(config_path))
+    assert code == 1
+    assert out == ""
+    assert "axis 0 has unknown keys ['vals']" in err
     assert "Traceback" not in err
 
 
@@ -542,6 +579,20 @@ def test_custom_landscape_from_file(tmp_path, capsys):
         )
     ).report
     assert json.loads(out)["entropy_rate"] == expected.entropy_rate
+
+
+def test_matrix_file_unknown_key_exits_one(tmp_path, capsys):
+    matrix_path = tmp_path / "game.json"
+    matrix_path.write_text(json.dumps({"n": 2, "matrix": [[1.0, 2.0], [2.0, 1.0]], "beta": 5}))
+    code, out, err = run_cli(
+        capsys,
+        "entropy-rate", "--n", "2", "--N", "10", "--mu", "0.1",
+        "--landscape", "custom", "--matrix-file", str(matrix_path),
+    )
+    assert code == 1
+    assert out == ""
+    assert "game matrix document has unknown keys ['beta']" in err
+    assert "Traceback" not in err
 
 
 def test_moran_requires_r(capsys):

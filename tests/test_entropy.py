@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.special import roots_jacobi
 
 from evorate import (
     Incentive,
@@ -179,3 +180,58 @@ def test_plug_in_validation():
         plug_in_entropy_rate([3])
     with pytest.raises(ValidationError):
         plug_in_entropy_rate([0.5, 1.5])
+
+
+def _beta_rule(nodes, a, b):
+    """Gauss-Jacobi nodes and weights on [0, 1] for the Beta(a, b) density."""
+    t, w = roots_jacobi(nodes, b - 1.0, a - 1.0)
+    return (1.0 + t) / 2.0, w / w.sum()
+
+
+def _neutral_three_type_limit(nodes):
+    """E h(X) for X ~ Dirichlet(1/2, 1/2, 1/2), by quadrature.
+
+    h(x) is the mu -> 0 transition entropy of a neutral three-type state
+    at fractions x: a type-j birth with a type-k death has probability
+    x_j x_k for j != k, and the self-loop has sum_j x_j^2.  X is built by
+    stick-breaking, X_1 ~ Beta(1/2, 1) and X_2 / (1 - X_1) ~ Beta(1/2, 1/2),
+    with one Gauss-Jacobi rule per factor.
+    """
+    u, wu = _beta_rule(nodes, 0.5, 1.0)
+    v, wv = _beta_rule(nodes, 0.5, 0.5)
+    u, v = u[:, None], v[None, :]
+    x = [u, (1.0 - u) * v, (1.0 - u) * (1.0 - v)]
+    stay = sum(xj * xj for xj in x)
+    h = -stay * np.log(stay)
+    for j in range(3):
+        for k in range(3):
+            if j != k:
+                h = h - x[j] * x[k] * np.log(x[j] * x[k])
+    return float(wu @ h @ wv)
+
+
+def test_neutral_rate_approaches_its_large_population_limit_as_one_over_N():
+    # With mu = 1/N the neutral stationary law tends to Dirichlet(1/2, 1/2, 1/2)
+    # and H(N) to H_inf = E h(X), with a gap of order 1/N.  H_inf comes from
+    # quadrature and shares no code with the lattice.
+    limit = _neutral_three_type_limit(200)
+    # The quadrature error falls about 8-fold per doubling of the nodes
+    # (4.6e-6, 5.7e-7, 7.2e-8 from 50 to 400 nodes), so this difference
+    # bounds the error of `limit` to within 15%.  At 1e-6 it moves no ratio
+    # below by more than 1e-4.
+    assert abs(limit - _neutral_three_type_limit(400)) < 1e-6
+    # A Monte Carlo mean of h over 10^6 Dirichlet draws gave 1.13528 with a
+    # standard error of 0.00043; 2e-3 is about five standard errors.
+    assert limit == pytest.approx(1.13528, abs=2e-3)
+
+    Ns = [25, 50, 100, 200]
+    gaps = []
+    for N in Ns:
+        kern = build_kernel(3, N, Incentive.neutral(), None, MutationModel.uniform(1 / N))
+        gaps.append(entropy_rate(kern, neutral_stationary(3, N, 1 / N)).entropy_rate - limit)
+    # Each doubling of N about halves the gap.  The ratios fit 1/2 + c/sqrt(N)
+    # with c = 0.092-0.095 over N = 25-200 (0.518, 0.513, 0.509), so the upper
+    # bound allows c twice that.  Missing H_inf by 5e-4 either way breaks one
+    # of the bounds at N = 100.
+    for N, small, large in zip(Ns, gaps[1:], gaps):
+        assert 0.5 < small / large < 0.5 + 0.2 / math.sqrt(N), (N, gaps)

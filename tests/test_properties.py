@@ -3,10 +3,13 @@
 Each property runs a fixed (derandomized) set of at most 30 examples.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 from evorate import (
+    DerivedMu,
     GameMatrix,
     Incentive,
     Landscape,
@@ -17,6 +20,8 @@ from evorate import (
     evaluate_process,
     num_states,
     rank_states,
+    SweepAxis,
+    ValidationError,
 )
 from evorate.simplex import unrank_state
 
@@ -95,3 +100,46 @@ def test_entropy_rate_stays_under_its_bound(process):
     n, N, A, beta, mu = process
     report = evaluate_process(fermi_config(n, N, A, beta, mu)).report
     assert 0.0 <= report.entropy_rate <= entropy_rate_bound(n) + 1e-12
+
+
+# Each numeric field of the five types that hold numbers, set on an otherwise valid object.
+NUMERIC_FIELDS = {
+    "Incentive.q": lambda v: Incentive("fermi", q=v, beta=1.0).q,
+    "Incentive.beta": lambda v: Incentive("fermi", beta=v).beta,
+    "MutationModel.mu": lambda v: MutationModel(mu=v).mu,
+    "Landscape.r": lambda v: Landscape("moran", r=v).r,
+    "Landscape.a": lambda v: Landscape("rsp", a=v, b=1.0).a,
+    "Landscape.b": lambda v: Landscape("rsp", a=1.0, b=v).b,
+    "DerivedMu.k": lambda v: DerivedMu("scaling_k", k=v).k,
+    "DerivedMu.c": lambda v: DerivedMu("c_over_N", c=v).c,
+    "SweepAxis.values": lambda v: SweepAxis("beta", (v,)).values[0],
+}
+
+field_values = st.one_of(
+    st.booleans(),
+    st.text(max_size=3),
+    st.none(),
+    st.lists(st.floats(0.0, 1.0), max_size=2),
+    st.just(math.nan),
+    st.sampled_from([math.inf, -math.inf]),
+    st.floats(max_value=-1e-300),
+    st.integers(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.builds(np.float64, st.floats(allow_nan=False)),
+    st.builds(np.int64, st.integers(-(2**63), 2**63 - 1)),
+)
+
+
+@PROPERTY
+@given(field_values)
+def test_numeric_fields_store_a_float_or_raise_validation_error(value):
+    # Any other exception (TypeError, a bare ValueError) fails the test.
+    for field, construct in NUMERIC_FIELDS.items():
+        try:
+            stored = construct(value)
+        except ValidationError:
+            continue
+        if value is None:  # an unset optional field: left unset, or its default filled in
+            assert stored is None or type(stored) is float, field
+        else:
+            assert type(stored) is float and stored == float(value), field

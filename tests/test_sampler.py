@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -65,6 +66,14 @@ def test_start_validation(kern):
         sample_trajectory(kern, TrajectoryConfig(length=3, seed=0, start=99))
     with pytest.raises(ValidationError):
         sample_trajectory(kern, TrajectoryConfig(length=3, seed=0, start=(3, 8)))
+    for start, message in [
+        ((11, -1), "state has negative counts"),
+        ((2.5, 7.5), "state must have integer counts"),  # not truncated to (2, 7)
+        ((3, 7, 0), "state has 3 coordinates, expected n=2"),
+        ((3, 6), "state sums to 9, expected N=10"),
+    ]:
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            sample_trajectory(kern, TrajectoryConfig(length=3, seed=0, start=start))
 
 
 def test_config_validation():

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import re
 import time
 
 import numpy as np
@@ -537,6 +538,14 @@ class TestSpecLoading:
         doc["mutation"] = {"mu": 0.1, "zap": 1}
         with pytest.raises(ValidationError, match=r"mutation has unknown keys \['zap'\]"):
             load_sweep_spec(doc)
+        for key, value, extra in [
+            ("landscape", {"name": "custom", "matrix": [[0, 1], [1, 0]], "r": 2}, "r"),
+            ("landscape", {"matrix": [[0, 1], [1, 0]], "beta": 5}, "beta"),
+            ("axes", [{"name": "beta", "values": [1, 2], "vals": [3]}], "vals"),
+        ]:
+            doc = {**self._doc(), key: value}
+            with pytest.raises(ValidationError, match=rf"unknown keys \['{extra}'\]"):
+                load_sweep_spec(doc)
 
     def test_missing_required_keys(self):
         doc = self._doc()
@@ -563,7 +572,7 @@ class TestSpecLoading:
             ("incentive", {"kind": "fermi", "beta": "strong"}, "incentive 'beta' must be a number"),
             ("incentive", {"kind": "fermi", "beta": 1, "q": [1]}, "incentive 'q' must be a number"),
             ("mutation", {"mu": "0.1"}, "mutation 'mu' must be a number"),
-            ("axes", [{"name": "beta", "values": ["a", 0.1]}], "axis 0 value must be a number"),
+            ("axes", [{"name": "beta", "values": ["a", 0.1]}], "axis 'beta' value must be a number"),
             ("derived_mu", {"rule": "scaling_k", "k": "1"}, "derived_mu 'k' must be a number"),
             ("derived_mu", {"rule": "c_over_N", "c": True}, "derived_mu 'c' must be a number"),
             ("landscape", {"name": "rsp", "a": 1, "b": 1, "matrix": [[1, 2], [3, 4]]}, "'matrix'"),
@@ -590,6 +599,13 @@ class TestSpecLoading:
             ("derived_mu", {"rule": "c_over_N", "k": 1}, "takes no 'k'"),
             ("derived_mu", {"rule": "scaling_k", "k": 1, "c": 1}, "takes no 'c'"),
             ("derived_mu", {"rule": "c_over_N", "base": "N"}, "takes no 'base'"),
+            ("axes", {"name": "beta", "values": [0.0]}, "'axes' must be a list"),
+            ("axes", 5, "'axes' must be a list"),
+            ("incentive", {"kind": "fermi", "beta": 10**400}, "incentive 'beta' is too large"),
+            # The types read None as "not given", so a null must not get through as one.
+            ("incentive", {"kind": "fermi", "beta": 1, "q": None}, "incentive 'q' must not be null"),
+            ("mutation", {"mu": None, "matrix": [[0.9, 0.1], [0.2, 0.8]]},
+             "mutation 'mu' must not be null"),
         ],
         ids=[
             "beta", "q", "mu", "axis_value", "k", "c", "matrix_on_named_landscape",
@@ -597,7 +613,8 @@ class TestSpecLoading:
             "bool_mutation_entry", "string_N", "fractional_N", "bool_N", "N_not_above_n",
             "q_beta_on_neutral", "beta_on_replicator", "negative_r", "nan_r", "nan_b",
             "r_on_hawk_dove", "a_on_moran", "negative_k", "nan_k", "negative_c",
-            "k_on_c_over_N", "c_on_scaling_k", "base_on_c_over_N",
+            "k_on_c_over_N", "c_on_scaling_k", "base_on_c_over_N", "axes_object", "axes_number",
+            "huge_int_beta", "null_q", "null_mu_with_matrix",
         ],
     )
     def test_wrong_typed_fields_rejected(self, key, value, match):
@@ -614,6 +631,46 @@ class TestSpecLoading:
         doc["output"]["path"] = path
         with pytest.raises(ValidationError, match="output 'path' must be a string"):
             load_sweep_spec(doc)
+
+    @pytest.mark.parametrize(
+        "construct,field",
+        [
+            (lambda: Incentive.fermi(beta="x"), "incentive 'beta'"),
+            (lambda: Incentive.replicator(q="2"), "incentive 'q'"),
+            (lambda: MutationModel.uniform("0.1"), "mutation 'mu'"),
+            (lambda: DerivedMu("c_over_N", c="1"), "derived_mu 'c'"),
+            (lambda: SweepAxis("mu", 0.1), "axis 'mu' values"),
+            (lambda: Incentive.fermi(beta=True), "incentive 'beta'"),
+            (lambda: MutationModel.uniform(True), "mutation 'mu'"),
+            (lambda: Landscape.moran("2"), "landscape 'r'"),
+            (lambda: Landscape.moran(True), "landscape 'r'"),
+            (lambda: Landscape.rsp("1", 1), "landscape 'a'"),
+            (lambda: DerivedMu("scaling_k", k=True), "derived_mu 'k'"),
+            (lambda: SweepAxis("mu", ("0.1",)), "axis 'mu' value"),
+            (lambda: SweepAxis("mu", (True,)), "axis 'mu' value"),
+        ],
+        ids=[
+            "str_beta", "str_q", "str_mu", "str_c", "bare_axis_value", "bool_beta", "bool_mu",
+            "str_r", "bool_r", "str_a", "bool_k", "str_axis_value", "bool_axis_value",
+        ],
+    )
+    def test_constructors_refuse_non_numbers(self, construct, field):
+        with pytest.raises(ValidationError, match=re.escape(field)):
+            construct()
+
+    def test_constructors_store_numpy_numbers_as_float(self):
+        half, two = np.float64(0.5), np.int64(2)
+        stored = [
+            *(getattr(Incentive.fermi(beta=half, q=two), key) for key in ("beta", "q")),
+            MutationModel.uniform(half).mu,
+            *(getattr(Landscape.rsp(half, two), key) for key in ("a", "b")),
+            Landscape.moran(two).r,
+            DerivedMu("scaling_k", k=two).k,
+            DerivedMu("c_over_N", c=half).c,
+            *SweepAxis("beta", (half, two)).values,
+        ]
+        assert [type(value) for value in stored] == [float] * len(stored)
+        assert stored == [0.5, 2.0, 0.5, 0.5, 2.0, 2.0, 2.0, 0.5, 0.5, 2.0]
 
     def test_mutation_needs_one_of_mu_or_matrix(self):
         doc = self._doc()
