@@ -225,13 +225,14 @@ def incentive_values_batch(
         logits -= logits.max(axis=1, keepdims=True)  # overflow guard
         phi = weights * np.exp(logits)
         totals = phi.sum(axis=1, keepdims=True)
+        # A far fitter absent type underflows every present term: shift by the present ones.
         zero = np.flatnonzero(totals[:, 0] <= 0.0)
         if zero.size:
-            raise _ill_defined(
-                f"fermi incentive has zero total weight at fractions {X[zero[0]].tolist()}",
-                zero[0],
-            )
-        phi = phi / totals
+            zero = zero[(weights[zero] > 0.0).any(axis=1)]
+            present = np.where(weights[zero] > 0.0, logits[zero], -np.inf)
+            phi[zero] = weights[zero] * np.exp(present - present.max(axis=1, keepdims=True))
+            totals[zero] = phi[zero].sum(axis=1, keepdims=True)
+        phi = phi / np.where(totals > 0.0, totals, 1.0)  # rows left at zero fail below
 
     bad = np.flatnonzero(phi.sum(axis=1) <= 0.0)
     if bad.size:

@@ -10,14 +10,16 @@ transitions therefore have probability
 and the self-loop takes the remaining mass (birth and death of the same
 type).  Each row has at most n(n-1) + 1 nonzero entries, so kernels are
 stored sparse (CSR) with rows indexed by canonical state rank.  The
-step rule lives in _moves alone: assembly and the reachability search
-both take their transitions from it.
+step rule lives in _moves alone, and _assemble turns a list of steps
+into a kernel for both builders.
 
 Rows depend only on their own state, so a kernel can also be built on
 any reachability-closed subset of the lattice; this is how processes
 with mutation rate zero are analyzed, where parts of the lattice are
 never visited and the full-lattice incentive may be undefined at the
-corners.  The mutation matrix is applied per state, so a state-dependent
+corners.  The breadth-first search that finds those states keeps its
+steps as the kernel's entries, so each state's incentive is evaluated
+once.  The mutation matrix is applied per state, so a state-dependent
 mutation model would only need a hook in _reproduction_batch.
 
 A full-lattice kernel also records its type symmetries: the
@@ -129,33 +131,10 @@ def _moves(S: np.ndarray, N: int, P: np.ndarray):
 
 
 def _assemble(
-    S: np.ndarray,
-    N: int,
-    P: np.ndarray,
-    rank_of: np.ndarray | None,
+    rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, M: int
 ) -> sparse.csr_array:
-    """CSR kernel over the states S given birth probabilities P.
-
-    `rank_of` maps global state ranks to row indices of S (identity when
-    S is the full lattice, passed as None).
-    """
-    M, n = S.shape
-    rows, cols, vals = [], [], []
-    for src, prob, targets in _moves(S, N, P):
-        dst = rank_states(targets, n, N)
-        if rank_of is not None:
-            dst = rank_of[dst]
-            if (dst < 0).any():
-                raise NumericalConsistencyError(
-                    "transition leaves the reachable state set; closure is broken"
-                )
-        rows.append(src)
-        cols.append(dst)
-        vals.append(prob)
-    rows = np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
-    cols = np.concatenate(cols) if cols else np.empty(0, dtype=np.int64)
-    vals = np.concatenate(vals) if vals else np.empty(0, dtype=np.float64)
-
+    """CSR kernel on M states from its off-diagonal steps rows -> cols with
+    probabilities vals; each row's self-loop takes the remaining mass."""
     offsum = np.bincount(rows, weights=vals, minlength=M)
     diag = 1.0 - offsum
     bad = np.flatnonzero(diag < -_ROWSUM_TOL)
@@ -204,23 +183,65 @@ def build_kernel(
     if game is not None and game.n != n:
         raise ValidationError(f"game matrix is {game.n}x{game.n}, process has n={n} types")
     Q = mutation.matrix(n)
-    if reachable_from is None:
-        S = _states_cached(n, N)
-        P = _reproduction_batch(S, N, incentive, game, Q)
-        T = _assemble(S, N, P, None)
-        return TransitionKernel(
-            matrix=T, n=n, N=N, states=S, symmetries=_type_symmetries(game, Q)
-        )
+    if reachable_from is not None:
+        seeds = [validate_state(seed, n=n, N=N) for seed in np.atleast_2d(reachable_from)]
+        return _reachable_kernel(np.array(seeds), n, N, incentive, game, Q)
 
-    seeds = np.atleast_2d(np.asarray(reachable_from, dtype=np.int64))
-    for seed in seeds:
-        validate_state(seed, n=n, N=N)
-    S, ranks = _reachable_states(seeds, n, N, incentive, game, Q)
-    rank_of = np.full(num_states(n, N), -1, dtype=np.int64)
-    rank_of[ranks] = np.arange(len(S))
+    S = _states_cached(n, N)
     P = _reproduction_batch(S, N, incentive, game, Q)
-    T = _assemble(S, N, P, rank_of)
-    return TransitionKernel(matrix=T, n=n, N=N, states=S)
+    rows, cols, vals = [], [], []
+    for src, prob, targets in _moves(S, N, P):
+        rows.append(src)
+        cols.append(rank_states(targets, n, N))
+        vals.append(prob)
+    # One list at a time, so each is freed as soon as it is joined.
+    rows = np.concatenate(rows)
+    cols = np.concatenate(cols)
+    vals = np.concatenate(vals)
+    T = _assemble(rows, cols, vals, len(S))
+    return TransitionKernel(matrix=T, n=n, N=N, states=S, symmetries=_type_symmetries(game, Q))
+
+
+def _reachable_kernel(seeds: np.ndarray, n: int, N: int, incentive, game, Q) -> TransitionKernel:
+    """Kernel on the closure of the seed states under positive-probability steps.
+
+    A breadth-first search over lattice ranks.  Each layer evaluates the
+    incentive on its new states once, keeps their steps (by global rank)
+    as kernel entries, and ranks all their targets at once to find the
+    states not seen before.  At the end the found ranks are sorted, which
+    is the rows' canonical order, and the steps are mapped onto them.
+    """
+    seen = np.zeros(num_states(n, N), dtype=bool)
+    ranks, first = np.unique(rank_states(seeds, n, N), return_index=True)
+    seen[ranks] = True
+    frontier = seeds[first]
+    found, found_ranks = [frontier], [ranks]
+    # One empty step each, for a search whose seeds cannot move.
+    rows, cols, vals = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0)]
+    while len(frontier):
+        P = _reproduction_batch(frontier, N, incentive, game, Q)
+        steps = list(_moves(frontier, N, P))
+        if not steps:
+            break
+        src, prob, targets = map(np.concatenate, zip(*steps))
+        dst = rank_states(targets, n, N)
+        rows.append(ranks[src])
+        cols.append(dst)
+        vals.append(prob)
+        ranks, first = np.unique(dst, return_index=True)
+        fresh = ~seen[ranks]
+        seen[ranks[fresh]] = True
+        frontier, ranks = targets[first[fresh]], ranks[fresh]
+        found.append(frontier)
+        found_ranks.append(ranks)
+    ranks = np.concatenate(found_ranks)
+    order = np.argsort(ranks)
+    ranks = ranks[order]
+    rows = np.searchsorted(ranks, np.concatenate(rows))
+    cols = np.searchsorted(ranks, np.concatenate(cols))
+    vals = np.concatenate(vals)
+    T = _assemble(rows, cols, vals, len(ranks))
+    return TransitionKernel(matrix=T, n=n, N=N, states=np.concatenate(found)[order])
 
 
 @lru_cache(maxsize=None)
@@ -266,37 +287,6 @@ def _orbit_kernel(kernel: TransitionKernel) -> tuple[TransitionKernel, np.ndarra
     T = kernel.matrix[reps] @ P
     T.sort_indices()
     return TransitionKernel(matrix=T, n=n, N=N, states=S[reps]), orbit
-
-
-def _reachable_states(
-    seeds: np.ndarray, n: int, N: int, incentive, game, Q: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Closure of the seed states under positive-probability transitions.
-
-    A breadth-first search over lattice ranks: each layer ranks all its
-    targets at once and keeps the ones not seen before.  Returns the
-    states in canonical (ascending rank) order along with their ranks.
-    """
-    seen = np.zeros(num_states(n, N), dtype=bool)
-    ranks, first = np.unique(rank_states(seeds, n, N), return_index=True)
-    seen[ranks] = True
-    frontier = seeds[first]
-    found, found_ranks = [frontier], [ranks]
-    while len(frontier):
-        P = _reproduction_batch(frontier, N, incentive, game, Q)
-        targets = [t for _, _, t in _moves(frontier, N, P)]
-        if not targets:
-            break
-        targets = np.concatenate(targets)
-        ranks, first = np.unique(rank_states(targets, n, N), return_index=True)
-        fresh = ~seen[ranks]
-        seen[ranks[fresh]] = True
-        frontier = targets[first[fresh]]
-        found.append(frontier)
-        found_ranks.append(ranks[fresh])
-    ranks = np.concatenate(found_ranks)
-    order = np.argsort(ranks)
-    return np.concatenate(found)[order], ranks[order]
 
 
 def raw_kernel(matrix) -> TransitionKernel:

@@ -5,8 +5,8 @@ a = (a_1, ..., a_n) with a_i >= 0 and sum(a) = N.  The C(N+n-1, n-1)
 such states form the lattice points of the discrete simplex.  This
 module enumerates them in a fixed canonical order, converts between
 states and their integer ranks in that order, and picks the states
-nearest the barycentre.  Which states a replacement step connects is
-the kernel module's business (kernel._moves).
+nearest the barycentre.  The kernel module decides which states a step
+connects (kernel._moves) and which a process reaches (_reachable_kernel).
 
 The canonical order is descending lexicographic, so (N, 0, ..., 0) has
 rank 0 and (0, ..., 0, N) has rank C(N+n-1, n-1) - 1.
@@ -71,6 +71,8 @@ def validate_state(counts, n: int | None = None, N: int | None = None) -> np.nda
     a = np.asarray(counts)
     if a.ndim != 1 or a.size < 2:
         raise ValidationError(f"state must be a vector of at least 2 counts, got shape {a.shape}")
+    if not (np.issubdtype(a.dtype, np.integer) or np.issubdtype(a.dtype, np.floating)):
+        raise ValidationError(f"state counts must be numbers, got {counts!r}")
     if not np.issubdtype(a.dtype, np.integer):
         rounded = np.rint(a)
         if not np.array_equal(a, rounded):

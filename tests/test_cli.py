@@ -270,8 +270,9 @@ def test_sample_start_flag(capsys):
         ("40,-5,-5", "state has negative counts: [40, -5, -5]"),
         ("1,2", "state has 2 coordinates, expected n=3"),
         ("10,10,11", "state sums to 31, expected N=30"),
+        ("10,x,10", "--start must be comma-separated counts, got '10,x,10'"),
     ],
-    ids=["negative", "too-few-counts", "wrong-total"],
+    ids=["negative", "too-few-counts", "wrong-total", "not-a-number"],
 )
 def test_sample_bad_start_exits_one(capsys, start, message):
     code, out, err = run_cli(
@@ -579,6 +580,26 @@ def test_custom_landscape_from_file(tmp_path, capsys):
         )
     ).report
     assert json.loads(out)["entropy_rate"] == expected.entropy_rate
+
+
+def test_fermi_strong_selection_toward_an_absent_type(tmp_path, capsys):
+    # At beta = 100 the corner (10, 0) underflows its only present term;
+    # the rate must match beta = 70, where it does not and selection is
+    # already saturated.
+    matrix_path = tmp_path / "m.json"
+    matrix_path.write_text(json.dumps({"matrix": [[0, 0], [10, 10]]}))
+    rates = []
+    for beta in ("100", "70"):
+        code, out, err = run_cli(
+            capsys,
+            "entropy-rate", "--n", "2", "--N", "10", "--mu", "0.01",
+            "--incentive", "fermi", "--beta", beta,
+            "--landscape", "custom", "--matrix-file", str(matrix_path),
+        )
+        assert code == 0, err
+        rates.append(json.loads(out)["entropy_rate"])
+    assert rates[0] == pytest.approx(rates[1], abs=1e-12)
+    assert rates[1] == pytest.approx(0.08707384745835388, abs=1e-12)
 
 
 def test_matrix_file_unknown_key_exits_one(tmp_path, capsys):

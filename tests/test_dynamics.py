@@ -129,6 +129,26 @@ def test_fermi_survives_huge_beta():
     assert abs(phi.sum() - 1.0) < 1e-12
 
 
+def test_fermi_strong_selection_toward_an_absent_type():
+    # At (10, 0) only type 0 is present, and the absent type 1 is fitter by
+    # beta * 10 = 1000: exp(-1000) underflows type 0's only term.  The
+    # absent type gets no weight, so the row is still well defined.
+    game = GameMatrix([[0.0, 0.0], [10.0, 10.0]])
+    inc = Incentive.fermi(beta=100.0)
+    assert incentive_values(inc, game, [1.0, 0.0]).tolist() == [1.0, 0.0]
+    kern = build_kernel(2, 10, inc, game, MutationModel.uniform(0.01))
+    cols, probs = kern.row(rank_state((10, 0)))
+    assert kern.states[cols].tolist() == [[10, 0], [9, 1]]
+    assert probs[1] == pytest.approx(0.01, abs=1e-15)
+
+
+def test_fermi_zero_weights_everywhere_are_ill_defined():
+    # With q this large every fraction's weight underflows to zero; the
+    # generic zero-total check still names the row.
+    with pytest.raises(IllDefinedIncentiveError, match="zero total weight"):
+        incentive_values(Incentive.fermi(beta=1.0, q=2000.0), Landscape.moran(2).build(2), [0.5, 0.5])
+
+
 def test_best_reply_picks_the_fitter_type():
     game = Landscape.hawk_dove().build(2)
     inc = Incentive.best_reply()

@@ -9,6 +9,7 @@ from evorate import (
     Incentive,
     Landscape,
     MutationModel,
+    NumericalConsistencyError,
     ValidationError,
     build_kernel,
     central_states,
@@ -16,6 +17,7 @@ from evorate import (
 )
 from evorate.dynamics import incentive_values_batch
 from evorate.kernel import (
+    _assemble,
     dump_kernel,
     is_irreducible,
     raw_kernel,
@@ -274,6 +276,30 @@ def test_reachable_build_matches_set_closure(n, N, incentive, game, mutation, se
     kern = build_kernel(n, N, incentive, game, mutation, reachable_from=seeds)
     expected = reachable_oracle(np.atleast_2d(seeds), incentive, game, mutation)
     assert kern.states.tolist() == [list(state) for state in expected]
+    for row, state in enumerate(kern.states):
+        cols, probs = kern.row(row)
+        got = {tuple(kern.states[c].tolist()): p for c, p in zip(cols, probs)}
+        want = {tuple(b.tolist()): p for b, p in transition_row(state, incentive, game, mutation)}
+        assert got.keys() == want.keys()
+        assert max(abs(got[b] - want[b]) for b in want) <= 1e-15
+
+
+def test_assemble_clamps_a_row_a_hair_over_unit_mass():
+    # Row 0's steps sum to 1 + 5e-13, within the tolerance: no self-loop,
+    # and the row is rescaled to unit mass.  Row 1 keeps a self-loop.
+    T = _assemble(
+        np.array([0, 0, 1]), np.array([1, 2, 0]), np.array([0.5, 0.5 + 5e-13, 0.25]), 3
+    )
+    assert T.toarray()[0, 0] == 0.0
+    assert T.indices[T.indptr[0] : T.indptr[1]].tolist() == [1, 2]
+    assert abs(T.data[T.indptr[0] : T.indptr[1]].sum() - 1.0) <= 1e-15
+    assert T.toarray()[1].tolist() == [0.25, 0.75, 0.0]
+    assert T.toarray()[2].tolist() == [0.0, 0.0, 1.0]
+
+
+def test_assemble_refuses_a_row_over_unit_mass():
+    with pytest.raises(NumericalConsistencyError, match="row 0 has off-diagonal mass"):
+        _assemble(np.array([0, 0]), np.array([1, 2]), np.array([0.5, 0.5 + 1e-9]), 3)
 
 
 def test_irreducibility_and_recurrent_classes():

@@ -76,6 +76,21 @@ def test_start_validation(kern):
             sample_trajectory(kern, TrajectoryConfig(length=3, seed=0, start=start))
 
 
+def test_start_outside_a_reachable_kernel():
+    corner = build_kernel(
+        2, 6, Incentive.neutral(), None, MutationModel.uniform(0.0), reachable_from=[6, 0]
+    )
+    with pytest.raises(
+        ValidationError,
+        match=re.escape("central state [3, 3] is not part of this kernel; pass a start"),
+    ):
+        sample_trajectory(corner, TrajectoryConfig(length=3, seed=0))
+    with pytest.raises(
+        ValidationError, match=re.escape("start state [3, 3] is not part of this kernel")
+    ):
+        sample_trajectory(corner, TrajectoryConfig(length=3, seed=0, start=(3, 3)))
+
+
 def test_config_validation():
     with pytest.raises(ValidationError):
         TrajectoryConfig(length=0, seed=0)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,12 +9,14 @@ from scipy.sparse.csgraph import breadth_first_order
 from evorate import (
     Incentive,
     MutationModel,
+    TrajectoryConfig,
     ValidationError,
     build_kernel,
     central_states,
     enumerate_states,
     num_states,
     rank_states,
+    sample_trajectory,
 )
 from evorate.simplex import _states_cached, rank_state, unrank_state, validate_state
 
@@ -112,6 +115,37 @@ def test_validate_state():
         validate_state([1, 2], N=5)
     with pytest.raises(ValidationError):
         validate_state([0, 0])
+
+
+@pytest.fixture(scope="module")
+def kern_3_30():
+    return build_kernel(3, 30, Incentive.neutral(), None, MutationModel.uniform(0.1))
+
+
+@pytest.mark.parametrize(
+    "counts,message",
+    [
+        (("11", "10", "9"), "state counts must be numbers"),
+        ((11 + 0j, 10, 9), "state counts must be numbers"),
+        ((True, False, True), "state counts must be numbers"),
+        ((11.5, 9.5, 9), "state must have integer counts"),
+    ],
+    ids=["strings", "complex", "bools", "fractional"],
+)
+@pytest.mark.parametrize("entry", ["rank_state", "sample_start", "kernel_seed"])
+def test_non_integer_counts_are_refused(kern_3_30, entry, counts, message):
+    # Each entry point validates a state before anything casts it to int64.
+    calls = {
+        "rank_state": lambda: rank_state(counts),
+        "sample_start": lambda: sample_trajectory(
+            kern_3_30, TrajectoryConfig(length=2, seed=0, start=counts)
+        ),
+        "kernel_seed": lambda: build_kernel(
+            3, 30, Incentive.neutral(), None, MutationModel.uniform(0.0), reachable_from=[counts]
+        ),
+    }
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        calls[entry]()
 
 
 def neighbours(n, N):
