@@ -184,7 +184,11 @@ def build_kernel(
         raise ValidationError(f"game matrix is {game.n}x{game.n}, process has n={n} types")
     Q = mutation.matrix(n)
     if reachable_from is not None:
-        seeds = [validate_state(seed, n=n, N=N) for seed in np.atleast_2d(reachable_from)]
+        try:  # a list of states has vectors for items, a single state numbers
+            seeds = reachable_from if np.ndim(reachable_from[0]) else [reachable_from]
+        except (TypeError, IndexError):
+            seeds = [reachable_from]
+        seeds = [validate_state(seed, n=n, N=N) for seed in seeds]
         return _reachable_kernel(np.array(seeds), n, N, incentive, game, Q)
 
     S = _states_cached(n, N)
@@ -332,9 +336,12 @@ def recurrent_classes(kernel: TransitionKernel) -> list[np.ndarray]:
 
 def restrict_to_states(kernel: TransitionKernel, rows) -> TransitionKernel:
     """Sub-kernel on a closed subset of rows (e.g. one recurrent class)."""
-    idx = np.unique(np.asarray(rows, dtype=np.int64))
+    idx = np.asarray(rows)
     if idx.size == 0:
         raise ValidationError("cannot restrict to an empty state set")
+    if not np.issubdtype(idx.dtype, np.integer):  # bools are not np.integer
+        raise ValidationError(f"row indices must be integers, got {idx.dtype} values")
+    idx = np.unique(idx.astype(np.int64))
     if idx[0] < 0 or idx[-1] >= kernel.num_states:
         raise ValidationError("row indices out of range")
     sub = kernel.matrix[idx][:, idx].tocsr()

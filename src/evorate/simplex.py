@@ -32,7 +32,7 @@ def num_states(n: int, N: int) -> int:
 
 
 def _check_dims(n: int, N: int) -> None:
-    if not isinstance(n, (int, np.integer)) or not isinstance(N, (int, np.integer)):
+    if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in (n, N)):
         raise ValidationError(f"n and N must be integers, got n={n!r}, N={N!r}")
     if n < 2:
         raise ValidationError(f"need at least two types, got n={n}")
@@ -73,7 +73,11 @@ def validate_state(counts, n: int | None = None, N: int | None = None) -> np.nda
         raise ValidationError(f"state must be a vector of at least 2 counts, got shape {a.shape}")
     if not (np.issubdtype(a.dtype, np.integer) or np.issubdtype(a.dtype, np.floating)):
         raise ValidationError(f"state counts must be numbers, got {counts!r}")
-    if not np.issubdtype(a.dtype, np.integer):
+    if a.dtype.kind in "uf":  # the kinds that can hold counts beyond int64
+        far = a[~(np.abs(a) < 2.0**63)]
+        if far.size:
+            raise ValidationError(f"state counts must be finite and < 2**63, got {far.tolist()}")
+    if a.dtype.kind == "f":
         rounded = np.rint(a)
         if not np.array_equal(a, rounded):
             raise ValidationError(f"state must have integer counts, got {counts!r}")

@@ -77,7 +77,6 @@ refuses those rates; evaluate_process sends such chains to the numerical
 solvers instead.
 """
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,7 +106,6 @@ _DIRECT_MAX_FACTORIZATIONS = 4
 # garbage.
 _REPIN_RATIO = 1e4
 _BALANCE_TOL = 1e-10
-_LU_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -270,45 +268,33 @@ def _direct_stationary(kernel: TransitionKernel) -> np.ndarray:
     ordering of A + A^T keeps the factor small.  A pin carrying
     negligible mass makes the solve meaningless, which shows as an
     entry with |x| > _REPIN_RATIO, so the pin moves to the largest
-    entry and the system is factored again.
+    entry and the system is factored again.  Each factor is freed as
+    soon as its solve returns, so a thread never holds two.
     """
     T = kernel.matrix
-    C = (sparse.identity(T.shape[0], format="csr") - T).tocsr()
+    M = T.shape[0]
+    C = (sparse.identity(M, format="csr") - T).tocsr()
     # The state nearest the barycentre usually carries enough mass.
     pin = int(np.argmin(np.abs(kernel.states - kernel.N / kernel.n).sum(axis=1)))
     for _ in range(_DIRECT_MAX_FACTORIZATIONS):
-        x = _pinned_solve(C, pin)
+        A = C.copy()
+        A.data[A.indices == pin] = 0.0
+        A = (A + sparse.csr_array(([1.0], ([pin], [pin])), shape=(M, M))).T
+        rhs = np.zeros(M)
+        rhs[pin] = 1.0
+        try:
+            x = splu(
+                A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                options={"SymmetricMode": True},
+            ).solve(rhs)
+        except RuntimeError as exc:  # SuperLU reports an exactly singular factor
+            raise ConvergenceError(f"sparse LU failed: {exc}") from exc
         # |x|, not x: a garbage solve can keep its positive maximum on the pin.
         top = int(np.argmax(np.abs(x)))
         if abs(x[top]) <= _REPIN_RATIO:
             break
         pin = top
     return np.maximum(x, 0.0)
-
-
-def _pinned_solve(C, pin: int) -> np.ndarray:
-    """Solve C^T x = e_pin after replacing column `pin` of C by e_pin.
-
-    The factor lives only inside this call, under a process-wide lock,
-    so neither a re-pin nor a sweep's worker threads ever hold two.
-    """
-    M = C.shape[0]
-    A = C.copy()
-    A.data[A.indices == pin] = 0.0
-    A = (A + sparse.csr_array(([1.0], ([pin], [pin])), shape=(M, M))).T
-    rhs = np.zeros(M)
-    rhs[pin] = 1.0
-    with _LU_LOCK:
-        try:
-            lu = splu(
-                A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                options={"SymmetricMode": True},
-            )
-        except RuntimeError as exc:  # SuperLU reports an exactly singular factor
-            raise ConvergenceError(f"sparse LU failed: {exc}") from exc
-        x = lu.solve(rhs)
-        del lu  # free the factor before another thread may build one
-    return x
 
 
 def reversible_stationary(kernel: TransitionKernel) -> StationaryDistribution:

@@ -19,13 +19,14 @@ no unique stationary distribution and the point is reported as an error.
 
 A sweep varies up to two named parameters over grids, evaluates the
 points on a thread pool of one worker per CPU (at most 8, and no more
-than there are points), whose workers take turns at the sparse LU so
-that only one factor is in memory, and emits rows with a fixed column
-set.  A bad value anywhere in the grid refuses the whole spec before
-anything runs; a point that fails to evaluate (a reducible chain, an
-ill-defined incentive, a solver that does not converge) lands in the
-row's error column rather than aborting, except entropy-rate bound
-violations, which indicate an implementation problem and abort the run.
+than there are points), and emits rows with a fixed column set.  The
+workers factor side by side, so each may hold one sparse LU factor:
+about 5 MB at 5,151 states and 10 MB at 10,000.  A bad value anywhere
+in the grid refuses the whole spec before anything runs; a point that
+fails to evaluate (a reducible chain, an ill-defined incentive, a
+solver that does not converge) lands in the row's error column rather
+than aborting, except entropy-rate bound violations, which indicate an
+implementation problem and abort the run.
 
 load_sweep_spec reads a sweep's JSON document: each object through
 catalog._block, with its keys named once, and each number by the type

@@ -1,4 +1,5 @@
 import io
+import re
 
 import numpy as np
 import pytest
@@ -213,6 +214,22 @@ def test_reachable_build_from_absorbing_corner():
     assert kern.matrix.toarray().tolist() == [[1.0]]
 
 
+def test_reachable_build_takes_a_state_or_a_list_of_states():
+    def build(seeds):
+        return build_kernel(
+            2, 6, Incentive.neutral(), None, MutationModel.uniform(0.0), reachable_from=seeds
+        )
+
+    assert build([[6, 0]]).states.tolist() == [[6, 0]]
+    assert build(np.array([6, 0])).states.tolist() == [[6, 0]]
+    assert build([[6, 0], (0, 6)]).states.tolist() == [[6, 0], [0, 6]]
+    # Each seed is validated on its own, so a ragged list names its bad seed.
+    with pytest.raises(ValidationError, match=re.escape("at least 2 counts, got shape (1,)")):
+        build([[3, 3], [6]])
+    with pytest.raises(ValidationError, match="sums to 5, expected N=6"):
+        build([[3, 3], [4, 1]])
+
+
 def test_reachable_build_with_positive_mutation_covers_the_lattice():
     full = build_kernel(2, 6, Incentive.neutral(), None, MutationModel.uniform(0.1))
     reach = build_kernel(
@@ -328,6 +345,22 @@ def test_restrict_to_states():
     assert sub.states.tolist() == [[6, 0]]
     with pytest.raises(ValidationError, match="not closed"):
         restrict_to_states(kern, [2, 3, 4])
+
+
+@pytest.mark.parametrize(
+    "rows,message",
+    [
+        ([6.9], "row indices must be integers, got float64 values"),
+        ([True], "row indices must be integers, got bool values"),
+        ([], "cannot restrict to an empty state set"),
+        (np.array([], dtype=np.int64), "cannot restrict to an empty state set"),
+    ],
+    ids=["fractional", "bool", "empty-list", "empty-array"],
+)
+def test_restrict_to_states_refuses_bad_rows(rows, message):
+    kern = build_kernel(2, 6, Incentive.neutral(), None, MutationModel.uniform(0.0))
+    with pytest.raises(ValidationError, match=message):
+        restrict_to_states(kern, rows)
 
 
 def test_raw_kernel_validation():

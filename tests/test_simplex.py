@@ -14,6 +14,7 @@ from evorate import (
     build_kernel,
     central_states,
     enumerate_states,
+    neutral_stationary,
     num_states,
     rank_states,
     sample_trajectory,
@@ -102,6 +103,22 @@ def test_bad_dimensions_rejected():
             call()
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: num_states(2, True),
+        lambda: enumerate_states(2, True),
+        lambda: neutral_stationary(2, True, 0.1),
+        lambda: build_kernel(True, 5, Incentive.neutral(), None, MutationModel.uniform(0.1)),
+        lambda: build_kernel(2, np.True_, Incentive.neutral(), None, MutationModel.uniform(0.1)),
+    ],
+    ids=["num_states", "enumerate_states", "neutral_stationary", "kernel_n", "kernel_N"],
+)
+def test_bool_dimensions_rejected(call):
+    with pytest.raises(ValidationError, match="n and N must be integers"):
+        call()
+
+
 def test_validate_state():
     assert validate_state([1, 2, 0]).tolist() == [1, 2, 0]
     assert validate_state(np.array([2.0, 1.0])).tolist() == [2, 1]
@@ -129,13 +146,18 @@ def kern_3_30():
         ((11 + 0j, 10, 9), "state counts must be numbers"),
         ((True, False, True), "state counts must be numbers"),
         ((11.5, 9.5, 9), "state must have integer counts"),
+        ((np.inf, 10.0, 9.0), "finite and < 2**63, got [inf]"),
+        ((np.nan, 10.0, 9.0), "finite and < 2**63, got [nan]"),
+        ((1e30, 10.0, 9.0), "finite and < 2**63, got [1e+30]"),
+        (np.array([2**63, 10, 9], dtype=np.uint64), "finite and < 2**63"),
     ],
-    ids=["strings", "complex", "bools", "fractional"],
+    ids=["strings", "complex", "bools", "fractional", "inf", "nan", "1e30", "uint64"],
 )
-@pytest.mark.parametrize("entry", ["rank_state", "sample_start", "kernel_seed"])
+@pytest.mark.parametrize("entry", ["validate_state", "rank_state", "sample_start", "kernel_seed"])
 def test_non_integer_counts_are_refused(kern_3_30, entry, counts, message):
     # Each entry point validates a state before anything casts it to int64.
     calls = {
+        "validate_state": lambda: validate_state(counts),
         "rank_state": lambda: rank_state(counts),
         "sample_start": lambda: sample_trajectory(
             kern_3_30, TrajectoryConfig(length=2, seed=0, start=counts)

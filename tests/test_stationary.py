@@ -1,5 +1,6 @@
 import io
 import json
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -303,6 +304,22 @@ def test_singular_factor_is_a_convergence_error(monkeypatch):
     monkeypatch.setattr(stationary_module, "splu", singular)
     with pytest.raises(ConvergenceError, match="sparse LU failed"):
         solve_stationary(rsp_kernel(45, 1 / 45))
+
+
+def test_direct_solves_agree_across_threads():
+    # SuperLU factors without the GIL, so pooled solves overlap; each
+    # must still return the serial vector bit for bit.
+    games = np.random.default_rng(5).uniform(-1, 2, (4, 3, 3))
+    kernels = [
+        game3_kernel(game, N, beta=1.0, q=1.0, mu=0.01) for game, N in zip(games, (45, 50, 55, 60))
+    ]
+    assert [k.num_states for k in kernels] == [1081, 1326, 1596, 1891]
+    assert all(len(k.symmetries) == 1 for k in kernels)
+    serial = [stationary_module._direct_stationary(k) for k in kernels]
+    rounds = 5
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        pooled = list(pool.map(stationary_module._direct_stationary, kernels * rounds))
+    assert all(np.array_equal(x, s) for x, s in zip(pooled, serial * rounds))
 
 
 def test_direct_route_size_cap(monkeypatch):
