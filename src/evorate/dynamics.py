@@ -185,8 +185,9 @@ def incentive_values_batch(
 ) -> np.ndarray:
     """Incentive weights for each row of an (M, n) array of fraction vectors.
 
-    Raises IllDefinedIncentiveError if any row gets negative weights or
-    a zero total, naming the first offending row.
+    Raises IllDefinedIncentiveError if any row gets negative weights, a
+    zero total or fermi logits beyond the float range, naming the first
+    offending row.
     """
     X = np.asarray(fractions, dtype=np.float64)
     if X.ndim != 2:
@@ -221,7 +222,15 @@ def incentive_values_batch(
             )
     else:  # fermi
         weights = np.power(X, incentive.q)
-        logits = incentive.beta * F
+        with np.errstate(over="ignore"):  # refused just below
+            logits = incentive.beta * F
+        if not np.isfinite(logits).all():
+            bad = np.flatnonzero(~np.isfinite(logits).all(axis=1))
+            raise _ill_defined(
+                f"fermi logits beta * f overflow at fractions {X[bad[0]].tolist()}; "
+                "lower beta or rescale the game matrix",
+                bad[0],
+            )
         logits -= logits.max(axis=1, keepdims=True)  # overflow guard
         phi = weights * np.exp(logits)
         totals = phi.sum(axis=1, keepdims=True)

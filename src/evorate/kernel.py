@@ -10,17 +10,24 @@ transitions therefore have probability
 and the self-loop takes the remaining mass (birth and death of the same
 type).  Each row has at most n(n-1) + 1 nonzero entries, so kernels are
 stored sparse (CSR) with rows indexed by canonical state rank.  The
-step rule lives in _moves alone, and _assemble turns a list of steps
-into a kernel for both builders.
+step rule lives in _moves alone.  Which entries a row can have depends
+on the lattice only, not on the process: the lattice pattern holds, for
+every state, each step's target rank in the column order a CSR row
+needs, and which _moves slot (or the self-loop) each column is.  It is
+built once per lattice and cached, so a sweep on one lattice ranks its
+steps once; each build computes its step probabilities, and _fill
+gathers them into the pattern and drops the entries without positive
+probability.
 
 Rows depend only on their own state, so a kernel can also be built on
 any reachability-closed subset of the lattice; this is how processes
 with mutation rate zero are analyzed, where parts of the lattice are
 never visited and the full-lattice incentive may be undefined at the
-corners.  The breadth-first search that finds those states keeps its
-steps as the kernel's entries, so each state's incentive is evaluated
-once.  The mutation matrix is applied per state, so a state-dependent
-mutation model would only need a hook in _reproduction_batch.
+corners.  The breadth-first search that finds those states reads their
+steps' targets from the pattern and keeps their step probabilities for
+the fill, so each state's incentive is evaluated once.  The mutation
+matrix is applied per state, so a state-dependent mutation model would
+only need a hook in _reproduction_batch.
 
 A full-lattice kernel also records its type symmetries: the
 permutations sigma of the types that leave both the game entries and
@@ -35,8 +42,11 @@ a reachable subset, and for restricted and raw kernels.
 """
 
 import itertools
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -48,7 +58,7 @@ from .errors import (
     NumericalConsistencyError,
     ValidationError,
 )
-from .simplex import _check_dims, _states_cached, num_states, rank_states, validate_state
+from .simplex import _check_dims, _states_cached, rank_states, validate_state
 
 _ROWSUM_TOL = 1e-12
 _CLOSURE_TOL = 1e-9
@@ -109,33 +119,105 @@ def _reproduction_batch(
     return (phi / phi.sum(axis=1, keepdims=True)) @ Q
 
 
-def _moves(S: np.ndarray, N: int, P: np.ndarray):
-    """Positive-probability replacement steps out of the states S.
+def _moves(S: np.ndarray, N: int, P: np.ndarray | None = None):
+    """Replacement steps out of the states S, one slot per ordered type
+    pair (j, k), j != k, in row-major order: the step adds a type j and
+    removes a type k.
 
-    Yields, for each ordered type pair (j, k) with j != k, the rows of S
-    that can move, their probabilities p_j * a_k / N, and the targets
-    a + e_j - e_k.
+    Given the reproduction probabilities P, returns every step's
+    probability p_j * a_k / N, one column per slot.  Without, returns an
+    iterator over the slots of the rows of S that hold a type k and their
+    targets a + e_j - e_k.
     """
-    n = S.shape[1]
-    for j in range(n):
-        for k in range(n):
-            if j == k:
-                continue
-            prob = P[:, j] * (S[:, k] / N)
-            src = np.flatnonzero(prob > 0.0)
-            if src.size:
-                targets = S[src]
-                targets[:, j] += 1
-                targets[:, k] -= 1
-                yield src, prob[src], targets
+    j, k = np.nonzero(~np.eye(S.shape[1], dtype=bool))
+    if P is not None:
+        return P[:, j] * (S[:, k] / N)
+
+    def steps(j, k):
+        src = np.flatnonzero(S[:, k])
+        targets = S[src]
+        targets[:, j] += 1
+        targets[:, k] -= 1
+        return src, targets
+
+    return map(steps, j, k)
 
 
-def _assemble(
-    rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, M: int
-) -> sparse.csr_array:
-    """CSR kernel on M states from its off-diagonal steps rows -> cols with
-    probabilities vals; each row's self-loop takes the remaining mass."""
-    offsum = np.bincount(rows, weights=vals, minlength=M)
+class _Pattern(NamedTuple):
+    """Every step on one lattice, each row's in column order: targets[r, c]
+    is the rank of state r's c-th step, or -1 where r has no such step,
+    and slots[c] is that step's _moves slot, or the last slot for the
+    self-loop."""
+
+    targets: np.ndarray
+    slots: np.ndarray
+
+
+def _build_pattern(n: int, N: int) -> _Pattern:
+    S = _states_cached(n, N)
+    M = len(S)
+    targets = np.full((M, n * (n - 1) + 1), -1, dtype=np.int32)
+    targets[:, -1] = np.arange(M)
+    for slot, (src, steps) in enumerate(_moves(S, N)):
+        targets[src, slot] = rank_states(steps, n, N)
+    # Two targets of one row differ by e_j - e_k - e_j' + e_k', whatever
+    # the row, so every row sorts its slots alike: as a row holding every
+    # type (one exists, as N > n) does.
+    slots = np.argsort(targets[(targets >= 0).all(axis=1).argmax()])
+    pattern = _Pattern(np.ascontiguousarray(targets[:, slots]), slots)
+    for array in pattern:
+        array.flags.writeable = False
+    return pattern
+
+
+_PATTERN_BUDGET = 1_000_000  # cached pattern cells, at 4 bytes each
+_patterns: OrderedDict = OrderedDict()  # (n, N) -> _Pattern, least recently used first
+_patterns_lock = threading.Lock()
+
+
+def _lattice_pattern(n: int, N: int) -> _Pattern:
+    """The step pattern of the (n, N) lattice, built once and cached.
+
+    While the cache holds more than _PATTERN_BUDGET target cells the
+    least recently used lattices are dropped, but never the one returned.
+    The lock is held while a pattern is built, so threads wanting the
+    same lattice build it once.
+    """
+    with _patterns_lock:
+        pattern = _patterns.pop((n, N), None)
+        if pattern is None:
+            pattern = _build_pattern(n, N)
+        _patterns[n, N] = pattern
+        stored = sum(p.targets.size for p in _patterns.values())
+        while stored > _PATTERN_BUDGET and len(_patterns) > 1:
+            stored -= _patterns.popitem(last=False)[1].targets.size
+    return pattern
+
+
+def _step_weights(S: np.ndarray, N: int, incentive, game, Q) -> np.ndarray:
+    """Step probabilities out of the states S, one column per slot; the
+    last column, the self-loop's, is left at zero."""
+    P = _reproduction_batch(S, N, incentive, game, Q)
+    if not np.isfinite(P).all():
+        bad = np.flatnonzero(~np.isfinite(P).all(axis=1))
+        raise NumericalConsistencyError(
+            f"reproduction probabilities are not finite at state {S[bad[0]].tolist()}"
+        )
+    W = np.zeros((len(S), P.shape[1] * (P.shape[1] - 1) + 1))
+    W[:, :-1] = _moves(S, N, P)
+    return W
+
+
+def _fill(W: np.ndarray, pattern: _Pattern, ranks: np.ndarray | None = None) -> sparse.csr_array:
+    """CSR kernel from the step weights W of the lattice states `ranks`
+    (sorted; all states if None), one row per state and one column per
+    slot.  Each self-loop takes the mass its steps leave, written into
+    W's last column; entries without positive probability are dropped,
+    and the others' targets are numbered by their place in `ranks`."""
+    M = len(W)
+    offsum = np.zeros(M)
+    for slot in range(W.shape[1] - 1):  # in _moves order, as the steps are listed
+        offsum += W[:, slot]
     diag = 1.0 - offsum
     bad = np.flatnonzero(diag < -_ROWSUM_TOL)
     if bad.size:
@@ -143,19 +225,19 @@ def _assemble(
             f"row {bad[0]} has off-diagonal mass {offsum[bad[0]]!r} > 1"
         )
     clamped = np.flatnonzero(diag < 0.0)
-    diag = np.maximum(diag, 0.0)
+    W[:, -1] = np.maximum(diag, 0.0)
 
-    keep = diag > 0.0
-    drows = np.flatnonzero(keep)
-    T = sparse.csr_array(
-        (
-            np.concatenate([vals, diag[keep]]),
-            (np.concatenate([rows, drows]), np.concatenate([cols, drows])),
-        ),
-        shape=(M, M),
-    )
-    T.sum_duplicates()
-    T.sort_indices()
+    W = W[:, pattern.slots]  # columns in each row's target order
+    keep = W > 0.0  # no step, no entry: its weight is 0
+    if ranks is None:
+        cols = pattern.targets[keep]
+    else:
+        column = np.empty(ranks[-1] + 1, dtype=np.int32)
+        column[ranks] = np.arange(M)
+        cols = column[pattern.targets[ranks][keep]]
+    indptr = np.zeros(M + 1, dtype=np.int64)
+    np.cumsum(keep.sum(axis=1), out=indptr[1:])
+    T = sparse.csr_array((W[keep], cols, indptr), shape=(M, M))
     # Rows whose self-loop was clamped carry a hair more than unit mass.
     for r in clamped:
         sl = slice(T.indptr[r], T.indptr[r + 1])
@@ -192,17 +274,8 @@ def build_kernel(
         return _reachable_kernel(np.array(seeds), n, N, incentive, game, Q)
 
     S = _states_cached(n, N)
-    P = _reproduction_batch(S, N, incentive, game, Q)
-    rows, cols, vals = [], [], []
-    for src, prob, targets in _moves(S, N, P):
-        rows.append(src)
-        cols.append(rank_states(targets, n, N))
-        vals.append(prob)
-    # One list at a time, so each is freed as soon as it is joined.
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
-    T = _assemble(rows, cols, vals, len(S))
+    W = _step_weights(S, N, incentive, game, Q)
+    T = _fill(W, _lattice_pattern(n, N))
     return TransitionKernel(matrix=T, n=n, N=N, states=S, symmetries=_type_symmetries(game, Q))
 
 
@@ -210,42 +283,31 @@ def _reachable_kernel(seeds: np.ndarray, n: int, N: int, incentive, game, Q) -> 
     """Kernel on the closure of the seed states under positive-probability steps.
 
     A breadth-first search over lattice ranks.  Each layer evaluates the
-    incentive on its new states once, keeps their steps (by global rank)
-    as kernel entries, and ranks all their targets at once to find the
-    states not seen before.  At the end the found ranks are sorted, which
-    is the rows' canonical order, and the steps are mapped onto them.
+    incentive on its new states once, keeps their step weights, and reads
+    their steps' targets from the lattice pattern to find the states not
+    seen before.  At the end the found ranks are sorted, which is the
+    rows' canonical order, and their weights fill the pattern's rows.
     """
-    seen = np.zeros(num_states(n, N), dtype=bool)
-    ranks, first = np.unique(rank_states(seeds, n, N), return_index=True)
-    seen[ranks] = True
-    frontier = seeds[first]
-    found, found_ranks = [frontier], [ranks]
-    # One empty step each, for a search whose seeds cannot move.
-    rows, cols, vals = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0)]
-    while len(frontier):
-        P = _reproduction_batch(frontier, N, incentive, game, Q)
-        steps = list(_moves(frontier, N, P))
-        if not steps:
-            break
-        src, prob, targets = map(np.concatenate, zip(*steps))
-        dst = rank_states(targets, n, N)
-        rows.append(ranks[src])
-        cols.append(dst)
-        vals.append(prob)
-        ranks, first = np.unique(dst, return_index=True)
-        fresh = ~seen[ranks]
-        seen[ranks[fresh]] = True
-        frontier, ranks = targets[first[fresh]], ranks[fresh]
+    pattern = _lattice_pattern(n, N)
+    S = _states_cached(n, N)
+    seen = np.zeros(len(S), dtype=bool)
+    frontier = np.unique(rank_states(seeds, n, N))
+    seen[frontier] = True
+    found, weights = [], []
+    while frontier.size:
+        W = _step_weights(S[frontier], N, incentive, game, Q)
+        # Targets of the steps with positive weight; the self-loop weighs 0 here.
+        reached = pattern.targets[frontier][W[:, pattern.slots] > 0.0]
         found.append(frontier)
-        found_ranks.append(ranks)
-    ranks = np.concatenate(found_ranks)
+        weights.append(W)
+        frontier = np.unique(reached[~seen[reached]])
+        seen[frontier] = True
+    ranks = np.concatenate(found)
     order = np.argsort(ranks)
     ranks = ranks[order]
-    rows = np.searchsorted(ranks, np.concatenate(rows))
-    cols = np.searchsorted(ranks, np.concatenate(cols))
-    vals = np.concatenate(vals)
-    T = _assemble(rows, cols, vals, len(ranks))
-    return TransitionKernel(matrix=T, n=n, N=N, states=np.concatenate(found)[order])
+    W = np.concatenate(weights)[order]
+    T = _fill(W, pattern, ranks)
+    return TransitionKernel(matrix=T, n=n, N=N, states=S[ranks])
 
 
 @lru_cache(maxsize=None)

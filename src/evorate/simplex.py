@@ -87,7 +87,7 @@ def validate_state(counts, n: int | None = None, N: int | None = None) -> np.nda
         raise ValidationError(f"state has negative counts: {a.tolist()}")
     if n is not None and a.size != n:
         raise ValidationError(f"state has {a.size} coordinates, expected n={n}")
-    total = int(a.sum())
+    total = sum(a.tolist())  # Python integers, which do not wrap
     if N is not None and total != N:
         raise ValidationError(f"state sums to {total}, expected N={N}")
     if total < 1:
@@ -115,7 +115,7 @@ def rank_state(counts) -> int:
     """
     a = validate_state(counts)
     n = a.size
-    N = int(a.sum())
+    N = sum(a.tolist())
     _check_dims(n, N)
     rank = 0
     remaining = N

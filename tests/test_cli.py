@@ -410,6 +410,26 @@ def test_sweep_negative_fixed_fitness_exits_one(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "beta,landscape",
+    [("1e308", ["--landscape", "moran", "--r", "2"]), ("10", ["--landscape", "custom"])],
+    ids=["huge-beta", "huge-payoffs"],
+)
+def test_fermi_logit_overflow_exits_one(tmp_path, capsys, beta, landscape):
+    matrix = tmp_path / "game.json"
+    matrix.write_text(json.dumps({"matrix": [[1e308, 0], [0, 1e308]]}))
+    if landscape[-1] == "custom":
+        landscape = landscape + ["--matrix-file", str(matrix)]
+    code, out, err = run_cli(
+        capsys, "entropy-rate", "--n", "2", "--N", "5", "--mu", "0.5",
+        "--incentive", "fermi", "--beta", beta, *landscape,
+    )
+    assert code == 1
+    assert out == ""
+    assert "incentive is ill-defined at state [5, 0]: fermi logits beta * f overflow" in err
+    assert "Traceback" not in err
+
+
 def test_sweep_ragged_mutation_matrix_exits_one(tmp_path, capsys):
     config = {
         "n": 2,

@@ -142,6 +142,22 @@ def test_fermi_strong_selection_toward_an_absent_type():
     assert probs[1] == pytest.approx(0.01, abs=1e-15)
 
 
+def test_fermi_logits_beyond_the_float_range_are_ill_defined():
+    # beta * f overflows to inf at beta = 1e308; refused before any
+    # arithmetic on the row, so no RuntimeWarning escapes either.
+    with pytest.raises(IllDefinedIncentiveError, match="fermi logits beta [*] f overflow") as info:
+        incentive_values_batch(
+            Incentive.fermi(beta=1e308),
+            GameMatrix([[0.0, 0.0], [0.0, 4.0]]),
+            np.array([[1.0, 0.0], [0.2, 0.8]]),
+        )
+    assert info.value.row == 1
+    game = GameMatrix([[1e308, 0.0], [0.0, 1e308]])
+    with pytest.raises(IllDefinedIncentiveError, match="overflow"):
+        incentive_values(Incentive.fermi(beta=10.0), game, [0.5, 0.5])
+    assert incentive_values(Incentive.fermi(beta=1e-308), game, [0.5, 0.5]).tolist() == [0.5, 0.5]
+
+
 def test_fermi_zero_weights_everywhere_are_ill_defined():
     # With q this large every fraction's weight underflows to zero; the
     # generic zero-total check still names the row.

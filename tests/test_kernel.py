@@ -1,8 +1,12 @@
 import io
 import re
+import sys
+from collections import OrderedDict
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from evorate import (
     GameMatrix,
@@ -16,16 +20,20 @@ from evorate import (
     central_states,
     enumerate_states,
 )
+from evorate import kernel as kernel_module
 from evorate.dynamics import incentive_values_batch
 from evorate.kernel import (
-    _assemble,
+    _build_pattern,
+    _fill,
+    _Pattern,
+    _reproduction_batch,
     dump_kernel,
     is_irreducible,
     raw_kernel,
     recurrent_classes,
     restrict_to_states,
 )
-from evorate.simplex import rank_state
+from evorate.simplex import num_states, rank_state, rank_states
 
 
 def transition_row(counts, incentive, game, mutation):
@@ -301,22 +309,49 @@ def test_reachable_build_matches_set_closure(n, N, incentive, game, mutation, se
         assert max(abs(got[b] - want[b]) for b in want) <= 1e-15
 
 
+# The n=2, N=2 lattice: states [2, 0], [1, 1], [0, 2].  Slot 0 adds a
+# type 0 and removes a type 1, slot 1 the reverse, slot 2 is the
+# self-loop; each row's targets in column order, -1 where it has none.
+TWO_TYPES_OF_TWO = _Pattern(
+    targets=np.array([[-1, 0, 1], [0, 1, 2], [1, 2, -1]], dtype=np.int32),
+    slots=np.array([0, 2, 1]),
+)
+
+
 def test_assemble_clamps_a_row_a_hair_over_unit_mass():
-    # Row 0's steps sum to 1 + 5e-13, within the tolerance: no self-loop,
-    # and the row is rescaled to unit mass.  Row 1 keeps a self-loop.
-    T = _assemble(
-        np.array([0, 0, 1]), np.array([1, 2, 0]), np.array([0.5, 0.5 + 5e-13, 0.25]), 3
-    )
-    assert T.toarray()[0, 0] == 0.0
-    assert T.indices[T.indptr[0] : T.indptr[1]].tolist() == [1, 2]
-    assert abs(T.data[T.indptr[0] : T.indptr[1]].sum() - 1.0) <= 1e-15
-    assert T.toarray()[1].tolist() == [0.25, 0.75, 0.0]
+    # Row 1's steps sum to 1 + 5e-13, within the tolerance: no self-loop,
+    # and the row is rescaled to unit mass.  Row 0 keeps a self-loop.
+    W = np.array([[0.0, 0.25, 0.0], [0.5, 0.5 + 5e-13, 0.0], [0.0, 0.0, 0.0]])
+    T = _fill(W, TWO_TYPES_OF_TWO)
+    assert T.toarray()[1, 1] == 0.0
+    assert T.indices[T.indptr[1] : T.indptr[2]].tolist() == [0, 2]
+    assert abs(T.data[T.indptr[1] : T.indptr[2]].sum() - 1.0) <= 1e-15
+    assert T.toarray()[0].tolist() == [0.75, 0.25, 0.0]
     assert T.toarray()[2].tolist() == [0.0, 0.0, 1.0]
 
 
 def test_assemble_refuses_a_row_over_unit_mass():
-    with pytest.raises(NumericalConsistencyError, match="row 0 has off-diagonal mass"):
-        _assemble(np.array([0, 0]), np.array([1, 2]), np.array([0.5, 0.5 + 1e-9]), 3)
+    W = np.array([[0.0, 0.0, 0.0], [0.5, 0.5 + 1e-9, 0.0], [0.0, 0.0, 0.0]])
+    with pytest.raises(NumericalConsistencyError, match="row 1 has off-diagonal mass"):
+        _fill(W, TWO_TYPES_OF_TWO)
+
+
+def test_the_toy_pattern_is_the_lattice_pattern():
+    pattern = _build_pattern(2, 2)
+    assert np.array_equal(pattern.targets, TWO_TYPES_OF_TWO.targets)
+    assert np.array_equal(pattern.slots, TWO_TYPES_OF_TWO.slots)
+
+
+def test_non_finite_reproduction_probabilities_are_refused(monkeypatch):
+    # A NaN would otherwise reach a self-loop through the row sums.
+    def nan_rows(incentive, game, fractions):
+        phi = np.array(fractions, dtype=float)
+        phi[1] = np.nan
+        return phi
+
+    monkeypatch.setattr(kernel_module, "incentive_values_batch", nan_rows)
+    with pytest.raises(NumericalConsistencyError, match=re.escape("not finite at state [4, 1]")):
+        build_kernel(2, 5, Incentive.neutral(), None, MutationModel.uniform(0.1))
 
 
 def test_irreducibility_and_recurrent_classes():
@@ -439,3 +474,249 @@ def test_dump_kernel_round_trips():
 def test_dump_requires_lattice():
     with pytest.raises(ValidationError):
         dump_kernel(raw_kernel(np.eye(2)), io.StringIO())
+
+
+# The builders as they were before the lattice pattern: every step listed
+# and ranked per build, assembled from COO, and a search that ranks each
+# layer's targets.  The cached-pattern builders must match them bit for bit.
+
+
+def reference_moves(S, N, P):
+    n = S.shape[1]
+    for j in range(n):
+        for k in range(n):
+            if j == k:
+                continue
+            prob = P[:, j] * (S[:, k] / N)
+            src = np.flatnonzero(prob > 0.0)
+            if src.size:
+                targets = S[src]
+                targets[:, j] += 1
+                targets[:, k] -= 1
+                yield src, prob[src], targets
+
+
+def reference_assemble(rows, cols, vals, M):
+    offsum = np.bincount(rows, weights=vals, minlength=M)
+    diag = 1.0 - offsum
+    bad = np.flatnonzero(diag < -1e-12)
+    if bad.size:
+        raise NumericalConsistencyError(f"row {bad[0]} has off-diagonal mass {offsum[bad[0]]!r} > 1")
+    clamped = np.flatnonzero(diag < 0.0)
+    diag = np.maximum(diag, 0.0)
+    keep = diag > 0.0
+    drows = np.flatnonzero(keep)
+    T = sparse.csr_array(
+        (
+            np.concatenate([vals, diag[keep]]),
+            (np.concatenate([rows, drows]), np.concatenate([cols, drows])),
+        ),
+        shape=(M, M),
+    )
+    T.sum_duplicates()
+    T.sort_indices()
+    for r in clamped:
+        sl = slice(T.indptr[r], T.indptr[r + 1])
+        T.data[sl] /= T.data[sl].sum()
+    return T
+
+
+def reference_kernel(n, N, incentive, game, mutation, seeds=None):
+    """(matrix, states) as the per-build assembly makes them."""
+    Q = mutation.matrix(n)
+    if seeds is None:
+        S = enumerate_states(n, N)
+        P = _reproduction_batch(S, N, incentive, game, Q)
+        steps = [(src, rank_states(t, n, N), prob) for src, prob, t in reference_moves(S, N, P)]
+        rows, cols, vals = map(np.concatenate, zip(*steps))
+        return reference_assemble(rows, cols, vals, len(S)), S
+    seeds = np.atleast_2d(np.asarray(seeds, dtype=np.int64))
+    seen = np.zeros(num_states(n, N), dtype=bool)
+    ranks, first = np.unique(rank_states(seeds, n, N), return_index=True)
+    seen[ranks] = True
+    frontier = seeds[first]
+    found, found_ranks = [frontier], [ranks]
+    rows, cols, vals = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0)]
+    while len(frontier):
+        P = _reproduction_batch(frontier, N, incentive, game, Q)
+        steps = list(reference_moves(frontier, N, P))
+        if not steps:
+            break
+        src, prob, targets = map(np.concatenate, zip(*steps))
+        dst = rank_states(targets, n, N)
+        rows.append(ranks[src])
+        cols.append(dst)
+        vals.append(prob)
+        ranks, first = np.unique(dst, return_index=True)
+        fresh = ~seen[ranks]
+        seen[ranks[fresh]] = True
+        frontier, ranks = targets[first[fresh]], ranks[fresh]
+        found.append(frontier)
+        found_ranks.append(ranks)
+    ranks = np.concatenate(found_ranks)
+    order = np.argsort(ranks)
+    ranks = ranks[order]
+    rows = np.searchsorted(ranks, np.concatenate(rows))
+    cols = np.searchsorted(ranks, np.concatenate(cols))
+    T = reference_assemble(rows, cols, np.concatenate(vals), len(ranks))
+    return T, np.concatenate(found)[order]
+
+
+def assert_same_kernel(kern, reference):
+    T, states = reference
+    for got, want in [
+        (kern.matrix.data, T.data),
+        (kern.matrix.indices, T.indices),
+        (kern.matrix.indptr, T.indptr),
+        (kern.states, states),
+    ]:
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+def build_both(n, N, incentive, game, mutation, seeds=None):
+    """The kernel, or the error's text, from both builders."""
+    out = []
+    for build in (build_kernel, reference_kernel):
+        try:
+            out.append(build(n, N, incentive, game, mutation, seeds))
+        except Exception as exc:
+            out.append(f"{type(exc).__name__}: {exc}")
+    return out
+
+
+GRID_INCENTIVES = [
+    Incentive.neutral(),
+    Incentive.fermi(beta=1.0),
+    Incentive.fermi(beta=5.0, q=2.0),
+    Incentive.fermi(beta=300.0),
+    Incentive.replicator(q=1.0),
+]
+
+
+@pytest.mark.parametrize("n,N", [(2, 4), (2, 200), (3, 10), (3, 60), (4, 9), (5, 7)])
+def test_pattern_builders_match_the_reference_bit_for_bit(n, N):
+    game = GameMatrix(np.random.default_rng(n * 1000 + N).uniform(0.0, 2.0, size=(n, n)))
+    # Payoffs shifted partly below zero make the replicator incentive
+    # negative on part of the lattice, most often layers away from the
+    # centre; both builders must refuse the same state with one message.
+    processes = [(incentive, game) for incentive in GRID_INCENTIVES]
+    processes.append((Incentive.replicator(q=1.0), GameMatrix(game.entries - 0.5)))
+    built = 0
+    for mu in (0.0, 0.01, 0.3, (n - 1) / n, 1.0):
+        for incentive, payoffs in processes:
+            for seeds in (None, central_states(n, N)):
+                new, old = build_both(n, N, incentive, payoffs, MutationModel.uniform(mu), seeds)
+                if isinstance(old, str) or isinstance(new, str):
+                    assert new == old
+                    continue
+                assert_same_kernel(new, old)
+                built += 1
+    assert built >= 50  # every process but the shifted replicator builds
+
+
+@pytest.mark.parametrize("N", [6, 12])
+@pytest.mark.parametrize("incentive", [Incentive.neutral(), Incentive.fermi(beta=2.0)])
+def test_one_way_mutation_reachable_sets_match_the_reference(N, incentive):
+    game = GameMatrix(GAME4 + 1.0)
+    for seeds in (central_states(4, N), [[N, 0, 0, 0]], [[0, 0, 1, N - 1]]):
+        new, old = build_both(4, N, incentive, game, ONE_WAY, seeds)
+        assert_same_kernel(new, old)
+
+
+def test_a_kernel_owns_its_arrays():
+    # Edits to a returned kernel, as tests and callers make, stay out of
+    # the cached pattern the next build reads.
+    args = (3, 10, Incentive.fermi(beta=1.0), Landscape.rsp(1, 1).build(3), MutationModel.uniform(0.1))
+    want = reference_kernel(*args)
+    for seeds in (None, central_states(3, 10)):
+        kern = build_kernel(*args, reachable_from=seeds)
+        kern.matrix.data[:] = 0.5
+        kern.matrix.indices[:] = 0
+        kern.matrix.setdiag(0.0)
+    assert_same_kernel(build_kernel(*args), want)
+    assert_same_kernel(build_kernel(*args[:4], MutationModel.uniform(0.1), central_states(3, 10)), want)
+
+
+def test_pooled_builds_of_interleaved_lattices_match_the_reference(monkeypatch):
+    monkeypatch.setattr(kernel_module, "_patterns", OrderedDict())  # every lattice starts cold
+    built = []
+    build_pattern = kernel_module._build_pattern
+    monkeypatch.setattr(
+        kernel_module, "_build_pattern", lambda n, N: built.append((n, N)) or build_pattern(n, N)
+    )
+    game = Landscape.rsp(1, 1).build(3)
+    jobs = [
+        (3, N, Incentive.fermi(beta=beta), game, MutationModel.uniform(mu), seeds)
+        for N in (20, 31, 45)
+        for beta, mu, seeds in [(1.0, 0.1, None), (2.0, 0.0, central_states(3, N)), (0.5, 0.3, None)]
+    ] * 2
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so the builds interleave
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(build_kernel, *job) for job in jobs]
+            kernels = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(built) == [(3, 20), (3, 31), (3, 45)]  # each lattice built once
+    for job, kern in zip(jobs, kernels):
+        assert_same_kernel(kern, reference_kernel(*job))
+
+
+def test_a_lattice_over_the_budget_is_kept_alone_and_then_dropped(monkeypatch):
+    monkeypatch.setattr(kernel_module, "_patterns", OrderedDict())
+    monkeypatch.setattr(kernel_module, "_PATTERN_BUDGET", 500)
+    small = (3, 8, Incentive.fermi(beta=1.0), Landscape.rsp(1, 1).build(3), MutationModel.uniform(0.1))
+    large = (3, 20, *small[2:])
+    first = build_kernel(*small)
+    assert list(kernel_module._patterns) == [(3, 8)]
+    build_kernel(*large)  # 231 states x 7 cells, more than the budget
+    assert list(kernel_module._patterns) == [(3, 20)]
+    again = build_kernel(*small)
+    assert list(kernel_module._patterns) == [(3, 8)]
+    assert_same_kernel(again, (first.matrix, first.states))
+    assert_same_kernel(again, reference_kernel(*small))
+
+
+def test_the_cache_keeps_recent_lattices_within_its_budget(monkeypatch):
+    monkeypatch.setattr(kernel_module, "_patterns", OrderedDict())
+    monkeypatch.setattr(kernel_module, "_PATTERN_BUDGET", 4_000)
+    mutation = MutationModel.uniform(0.1)
+    # 153, 1,617, 2,145, then 2,457 cells: the fourth lattice pushes out
+    # the two least recently used, but not (2, 50), used again just before.
+    for n, N in [(2, 50), (3, 20), (4, 8), (2, 50), (3, 25)]:
+        build_kernel(n, N, Incentive.neutral(), None, mutation)
+        stored = [p.targets.size for p in kernel_module._patterns.values()]
+        assert sum(stored) <= 4_000
+    assert list(kernel_module._patterns) == [(2, 50), (3, 25)]
+    for (n, N), pattern in kernel_module._patterns.items():
+        # One 4-byte target per state and slot, and one slot per column.
+        width = n * (n - 1) + 1
+        assert pattern.targets.shape == (num_states(n, N), width)
+        assert pattern.targets.nbytes == 4 * pattern.targets.size
+        assert pattern.slots.shape == (width,)
+
+
+def test_the_incentive_is_evaluated_once_per_state(monkeypatch):
+    seen = []
+
+    def counting(incentive, game, fractions):
+        seen.append(len(fractions))
+        return incentive_values_batch(incentive, game, fractions)
+
+    monkeypatch.setattr(kernel_module, "incentive_values_batch", counting)
+    incentive, game = Incentive.fermi(beta=1.0), Landscape.rsp(1, 1).build(3)
+    full = build_kernel(3, 30, incentive, game, MutationModel.uniform(0.1))
+    assert sum(seen) == full.num_states == 496
+    seen.clear()
+    reach = build_kernel(
+        3, 30, incentive, game, MutationModel.uniform(0.0), reachable_from=central_states(3, 30)
+    )
+    assert sum(seen) == reach.num_states and len(seen) > 1  # one batch per layer
+    seen.clear()
+    band = build_kernel(
+        2, 10, Incentive.best_reply(), Landscape.hawk_dove().build(2), MutationModel.uniform(0.0),
+        reachable_from=central_states(2, 10),
+    )
+    assert sum(seen) == band.num_states == 3  # nothing outside the closure

@@ -170,6 +170,32 @@ def test_non_integer_counts_are_refused(kern_3_30, entry, counts, message):
         calls[entry]()
 
 
+@pytest.mark.parametrize(
+    "entry,message",
+    [
+        ("validate_state", "state sums to 9223372036854775808, expected N=30"),
+        ("rank_state", "lattice with n=3, N=9223372036854775808 has more than"),
+        ("sample_start", "state sums to 9223372036854775808, expected N=30"),
+        ("kernel_seed", "state sums to 9223372036854775808, expected N=30"),
+    ],
+)
+def test_counts_summing_past_int64_are_refused_by_their_true_sum(kern_3_30, entry, message):
+    counts = [2**62, 2**62, 0]  # each fits in int64, their sum does not
+    calls = {
+        "validate_state": lambda: validate_state(counts, N=30),
+        "rank_state": lambda: rank_state(counts),
+        "sample_start": lambda: sample_trajectory(
+            kern_3_30, TrajectoryConfig(length=2, seed=0, start=counts)
+        ),
+        "kernel_seed": lambda: build_kernel(
+            3, 30, Incentive.neutral(), None, MutationModel.uniform(0.0), reachable_from=[counts]
+        ),
+    }
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        calls[entry]()
+    assert validate_state(counts).tolist() == counts  # a true state, on no buildable lattice
+
+
 def neighbours(n, N):
     """Off-diagonal support of the neutral kernel at mu > 0, where every
     replacement step has positive probability: the lattice's adjacency."""

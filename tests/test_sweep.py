@@ -326,6 +326,20 @@ class TestGridAndRows:
         assert rows[1].error is None
         assert rows[1].entropy_rate is not None
 
+    def test_fermi_logit_overflow_lands_in_error_column(self):
+        spec = SweepSpec(
+            n=2,
+            N=6,
+            incentive=Incentive.fermi(beta=1.0),
+            landscape=Landscape.moran(r=2.0),
+            mutation=MutationModel.uniform(0.1),
+            axes=(SweepAxis("beta", (1.0, 1e308)),),
+        )
+        rows = run_sweep(spec)
+        assert rows[0].error is None and rows[0].entropy_rate is not None
+        assert rows[1].entropy_rate is None
+        assert "fermi logits beta * f overflow" in rows[1].error
+
     def test_derived_mu_column(self):
         spec = SweepSpec(
             n=2,
